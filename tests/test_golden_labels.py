@@ -1,0 +1,100 @@
+"""Golden labels of the two planners on a frozen, seeded corpus of states.
+
+The expected strings were produced by the planners as they stood before
+their plan enumerators were merged. Any change to the order of the
+floating-point work in a planner can flip an exact tie between plans; this
+test pins every label so such a change cannot pass unnoticed.
+"""
+
+import numpy as np
+import pytest
+
+from abrlab.policies import MpcConfig, beam_expert_decide, robust_mpc_decide
+from abrlab.sim import PlayerState, QoEWeights, VideoSpec, chunk_sizes
+from abrlab.traces import SynthConfig, synthesize_trace
+
+N_STATES = 240
+N_TRACES = 6
+TRACE_S = 300
+HIST_LEN = 8
+
+SPEC = VideoSpec()
+W = QoEWeights()
+
+EXPERT_LABELS = (
+    "453305335444524334325552513334454454555543445444353545535545"
+    "431532005145402553355443333542455505324530352133535325334041"
+    "123232005134335224355555445515524443353435524442322354331543"
+    "232413542355454234553354454355253514545314021110444243513434"
+)
+MPC_ROBUST_LABELS = (
+    "132403223451103044203350412215334300412053000022512305200325"
+    "130403014145300432513441423522354105501351355043325510205350"
+    "022135530205320104043243014301524240401230313233155115431500"
+    "232511542434533033115513133254023542505403000420341021503433"
+)
+MPC_PLAIN_LABELS = (
+    "435423523454523044505350512215442530442053030322514405400415"
+    "332433015345002544545443324552554245523452355254345530405350"
+    "122335542335310205054355434505525241404430514435255155433500"
+    "243554542454535055315553154255044511525404120430445044503434"
+)
+
+
+def _corpus():
+    """(state, trace) pairs: random chunk index, buffer, previous rung, wall
+    clock (past the trace end for some plans) and partly filled history."""
+    traces = [synthesize_trace(SynthConfig(duration_s=TRACE_S, seed=(900, i)), trace_id=f"golden-{i}")
+              for i in range(N_TRACES)]
+    rng = np.random.default_rng(20260)
+    out = []
+    for _ in range(N_STATES):
+        trace = traces[int(rng.integers(N_TRACES))]
+        t = int(rng.integers(SPEC.num_chunks))
+        hist = np.zeros(HIST_LEN)
+        filled = int(rng.integers(HIST_LEN + 1))
+        if filled:
+            hist[-filled:] = np.exp(rng.normal(np.log(45e6), 0.8, filled))
+        state = PlayerState(
+            chunk_index=t,
+            buffer_s=float(rng.uniform(0.0, SPEC.buffer_max_s)),
+            prev_rung=int(rng.integers(SPEC.ladder.num_rungs)),
+            throughput_history=hist,
+            remaining_chunks=SPEC.num_chunks - t,
+            next_chunk_sizes=chunk_sizes(SPEC, t),
+            ladder_kbps=SPEC.ladder.rungs_kbps,
+            chunk_duration_s=SPEC.chunk_duration_s,
+            buffer_max_s=SPEC.buffer_max_s,
+            wall_time_s=float(trace.times_s[0] + rng.uniform(0.0, TRACE_S)),
+        )
+        out.append((state, trace))
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return _corpus()
+
+
+def _labels(fn, corpus) -> str:
+    return "".join(str(fn(state, trace)) for state, trace in corpus)
+
+
+def test_corpus_covers_every_first_rung_and_clipped_horizons(corpus):
+    assert len(corpus) == N_STATES >= 200
+    assert set(EXPERT_LABELS) == {str(a) for a in range(SPEC.ladder.num_rungs)}
+    assert any(s.remaining_chunks < 5 for s, _ in corpus)
+    assert any(not np.any(s.throughput_history) for s, _ in corpus)
+
+
+def test_expert_labels(corpus):
+    assert _labels(lambda s, tr: beam_expert_decide(s, tr, SPEC, W, 5), corpus) == EXPERT_LABELS
+
+
+def test_robust_mpc_labels(corpus):
+    assert _labels(lambda s, tr: robust_mpc_decide(s, SPEC, W, MpcConfig()), corpus) == MPC_ROBUST_LABELS
+
+
+def test_plain_mpc_labels(corpus):
+    got = _labels(lambda s, tr: robust_mpc_decide(s, SPEC, W, MpcConfig(robust=False)), corpus)
+    assert got == MPC_PLAIN_LABELS
