@@ -25,7 +25,6 @@ _EMPTY = np.zeros(0, dtype=int)
 class AuditConfig:
     guard_s: float = 0.0
     capacity_margin: float = 0.90  # multiplies predicted capacity before the check
-    enabled: bool = True
 
     def __post_init__(self):
         if self.guard_s < 0:
@@ -92,8 +91,6 @@ def make_auditor(predictor, cfg: AuditConfig = AuditConfig()):
     input_len = int(getattr(predictor, "input_len_s", 0)) or None
 
     def auditor(state: PlayerState, history_bps: np.ndarray, raw_rung: int):
-        if not cfg.enabled:
-            return None
         if state.buffer_s - cfg.guard_s <= 0.0:
             safe, intervened = audit_action(raw_rung, _EMPTY)
             return AuditDecision(raw_rung, safe, intervened, fallback=True)
@@ -128,8 +125,6 @@ def make_oracle_auditor(trace: ThroughputTrace, cfg: AuditConfig = AuditConfig(c
     t0 = float(trace.times_s[0])
 
     def auditor(state: PlayerState, history_bps: np.ndarray, raw_rung: int):
-        if not cfg.enabled:
-            return None
         sizes = np.asarray(state.next_chunk_sizes, dtype=np.float64)
         starts = np.full(sizes.size, state.wall_time_s)
         d = bulk_download_times(cum, bps, t0, starts, sizes)

@@ -123,18 +123,24 @@ class CalibrationResult:
     n_windows: int
 
 
-def calibration_ratios(point: PointPredictor, traces: Sequence[ThroughputTrace]) -> np.ndarray:
-    """realized/predicted for every valid 1 s window of every trace."""
-    cfg = point.cfg
-    ratios: list[float] = []
+def _forecast_windows(point: PointPredictor, traces: Sequence[ThroughputTrace]) -> tuple[np.ndarray, np.ndarray]:
+    """(point forecast, realized mean) for every valid 1 s window of every trace."""
+    horizon = point.cfg.horizon_s
+    predicted: list[float] = []
+    realized: list[float] = []
     for trace in traces:
         bps = trace.throughput_bps
         t0 = float(trace.times_s[0])
-        for i in range(1, bps.size - cfg.horizon_s + 1):
-            predicted = point.predict(bps[:i])
-            realized = realized_target(trace, t0 + i, cfg.horizon_s)
-            ratios.append(realized / predicted)
-    return np.asarray(ratios)
+        for i in range(1, bps.size - horizon + 1):
+            predicted.append(point.predict(bps[:i]))
+            realized.append(realized_target(trace, t0 + i, horizon))
+    return np.asarray(predicted, dtype=np.float64), np.asarray(realized, dtype=np.float64)
+
+
+def calibration_ratios(point: PointPredictor, traces: Sequence[ThroughputTrace]) -> np.ndarray:
+    """realized/predicted for every valid 1 s window of every trace."""
+    predicted, realized = _forecast_windows(point, traces)
+    return realized / predicted
 
 
 MIN_CALIBRATION_WINDOWS = 50
@@ -158,20 +164,10 @@ def calibrate_lower_bound(point: PointPredictor, traces: Sequence[ThroughputTrac
 
 def coverage_miss_rate(lb: LowerBoundPredictor, traces: Sequence[ThroughputTrace]) -> tuple[float, int]:
     """(fraction of fresh windows where reality undercuts the bound, n windows)."""
-    cfg = lb.point.cfg
-    misses = 0
-    total = 0
-    for trace in traces:
-        bps = trace.throughput_bps
-        t0 = float(trace.times_s[0])
-        for i in range(1, bps.size - cfg.horizon_s + 1):
-            bound = lb.predict(bps[:i])
-            realized = realized_target(trace, t0 + i, cfg.horizon_s)
-            misses += realized < bound
-            total += 1
-    if total == 0:
+    predicted, realized = _forecast_windows(lb.point, traces)
+    if predicted.size == 0:
         raise ValueError("no evaluation windows")
-    return misses / total, total
+    return float(np.mean(realized < lb.scale * predicted)), int(predicted.size)
 
 
 def violation_rate(violations: Sequence[bool]) -> float:
@@ -207,6 +203,7 @@ def evaluate_predictor_decisions(
     predictor, policy: Callable, traces: Sequence[ThroughputTrace],
     spec: VideoSpec, w: QoEWeights, guard_s: float = 0.0,
     capacity_margin: float = 0.90, history_len: int = 8,
+    tail_fraction: float = 0.05, severe_threshold_s: float = 10.0,
 ) -> DecisionEvalResult:
     """Run audited sessions and score the predictor at decision level.
 
@@ -239,7 +236,8 @@ def evaluate_predictor_decisions(
     v_dec = violation_rate(admitted_violations)
     overrate = high_risk_overrate(predicted, realized) if predicted else 0.0
     pid = getattr(predictor, "predictor_id", predictor.__class__.__name__)
-    report = build_report(pid, logs, v_dec=v_dec, overrate_hr=overrate)
+    report = build_report(pid, logs, v_dec=v_dec, overrate_hr=overrate,
+                          tail_fraction=tail_fraction, severe_threshold_s=severe_threshold_s)
     return DecisionEvalResult(
         predictor_id=pid,
         v_dec=v_dec,

@@ -123,13 +123,21 @@ def _check_fresh(kind: str, recorded: str, expected: str, trace_set: str, split:
         raise StageError(msg)
 
 
-def _load_policy_checkpoint(out: Path, name: str, expected_fp: str, split: dict,
-                            allow_stale: bool, hint: str):
+def _policy_stem(cfg: ExperimentConfig, kind: str) -> str:
+    """File stem of the `bc` (cloned) or `ppo` (fine-tuned) checkpoint."""
+    if kind == "bc":
+        return f"bc_seed{cfg.seed}"
+    return f"ppo_lambda{_fmt_num(cfg.cvar.penalty_weight)}_seed{cfg.seed}"
+
+
+def _load_policy_checkpoint(cfg: ExperimentConfig, out: Path, kind: str, split: dict, allow_stale: bool):
+    fingerprint, stage = (bc_fingerprint, "pretrain") if kind == "bc" else (ppo_fingerprint, "finetune")
+    name = f"{_policy_stem(cfg, kind)}.ckpt"
     path = out / "checkpoints" / name
     if not path.exists():
-        raise StageError(f"{path} not found; run `abrlab {hint}` first")
+        raise StageError(f"{path} not found; run `abrlab {stage}` first")
     net, meta = load_checkpoint(path)
-    _check_fresh(name, meta.get("fingerprint", ""), expected_fp, meta.get("trace_set", ""), split, allow_stale)
+    _check_fresh(name, meta.get("fingerprint", ""), fingerprint(cfg), meta.get("trace_set", ""), split, allow_stale)
     return net, meta
 
 
@@ -194,7 +202,7 @@ def cmd_pretrain(args) -> int:
                             history_len=cfg.history_len)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
-    stem = f"bc_seed{cfg.seed}"
+    stem = _policy_stem(cfg, "bc")
     save_checkpoint(ckpt_dir / f"{stem}.ckpt", net, {
         "kind": "bc", "seed": cfg.seed, "fingerprint": bc_fingerprint(cfg),
         "trace_set": split["trace_set"],
@@ -210,13 +218,12 @@ def cmd_finetune(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(cfg)
     split = _read_split(out)
-    stem = f"ppo_lambda{_fmt_num(cfg.cvar.penalty_weight)}_seed{cfg.seed}"
+    stem = _policy_stem(cfg, "ppo")
     ckpt_dir = out / "checkpoints"
     steps_done = 0
     prev_curve: list = []
     if args.resume and (ckpt_dir / f"{stem}.ckpt").exists():
-        net, meta = _load_policy_checkpoint(out, f"{stem}.ckpt", ppo_fingerprint(cfg), split,
-                                            args.allow_stale, "finetune")
+        net, meta = _load_policy_checkpoint(cfg, out, "ppo", split, args.allow_stale)
         steps_done = int(meta.get("steps_trained", 0))
         curve_path = ckpt_dir / f"{stem}_curve.json"
         if curve_path.exists():
@@ -225,8 +232,7 @@ def cmd_finetune(args) -> int:
             print(f"{stem}.ckpt already trained for {steps_done} steps; nothing to resume")
             return 0
     else:
-        net, _ = _load_policy_checkpoint(out, f"bc_seed{cfg.seed}.ckpt", bc_fingerprint(cfg), split,
-                                         args.allow_stale, "pretrain")
+        net, _ = _load_policy_checkpoint(cfg, out, "bc", split, args.allow_stale)
     traces = _load_traces(out, split["train"])
     spec, w = cfg.video.video_spec(), cfg.qoe
     ppo_cfg = dataclasses.replace(cfg.ppo, total_steps=cfg.ppo.total_steps - steps_done)
@@ -253,17 +259,9 @@ def cmd_finetune(args) -> int:
 
 def _frozen_policy(cfg: ExperimentConfig, out: Path, split: dict, allow_stale: bool):
     """Best available trained policy: fine-tuned if present, else cloned."""
-    lam = _fmt_num(cfg.cvar.penalty_weight)
-    ppo_name = f"ppo_lambda{lam}_seed{cfg.seed}.ckpt"
-    if (out / "checkpoints" / ppo_name).exists():
-        net, _ = _load_policy_checkpoint(out, ppo_name, ppo_fingerprint(cfg), split,
-                                         allow_stale, "finetune")
-        stem = ppo_name[:-5]
-    else:
-        net, _ = _load_policy_checkpoint(out, f"bc_seed{cfg.seed}.ckpt", bc_fingerprint(cfg),
-                                         split, allow_stale, "pretrain")
-        stem = f"bc_seed{cfg.seed}"
-    return make_greedy_policy(net, cfg.video.video_spec(), cfg.features), stem
+    kind = "ppo" if (out / "checkpoints" / f"{_policy_stem(cfg, 'ppo')}.ckpt").exists() else "bc"
+    net, _ = _load_policy_checkpoint(cfg, out, kind, split, allow_stale)
+    return make_greedy_policy(net, cfg.video.video_spec(), cfg.features), _policy_stem(cfg, kind)
 
 
 def cmd_calibrate(args) -> int:
@@ -287,7 +285,8 @@ def cmd_calibrate(args) -> int:
     results = [
         evaluate_predictor_decisions(
             registry[name](), policy, cal_traces, spec, w, guard_s=cfg.audit.guard_s,
-            capacity_margin=cfg.audit.capacity_margin, history_len=cfg.history_len)
+            capacity_margin=cfg.audit.capacity_margin, history_len=cfg.history_len,
+            tail_fraction=cfg.eval.tail_fraction, severe_threshold_s=cfg.eval.severe_threshold_s)
         for name in cfg.predictor.candidates
     ]
     selected = select_predictor(results, cfg.eval.qoe_tolerance)
@@ -326,7 +325,6 @@ def _method_policies(cfg: ExperimentConfig, out: Path, split: dict, allow_stale:
     """Map each requested method name to (policy, audited) lazily built."""
     spec, w = cfg.video.video_spec(), cfg.qoe
     table: dict[str, tuple] = {}
-    lam = _fmt_num(cfg.cvar.penalty_weight)
     for name in cfg.eval.methods:
         if name == "rate-rule":
             table[name] = (make_rate_rule_policy(), False)
@@ -334,14 +332,10 @@ def _method_policies(cfg: ExperimentConfig, out: Path, split: dict, allow_stale:
             table[name] = (make_bola_policy(cfg.bola), False)
         elif name == "robust-mpc":
             table[name] = (make_robust_mpc_policy(spec, w, cfg.mpc), False)
-        elif name in ("bc-only", "bc+audit"):
-            net, _ = _load_policy_checkpoint(out, f"bc_seed{cfg.seed}.ckpt", bc_fingerprint(cfg),
-                                             split, allow_stale, "pretrain")
-            table[name] = (make_greedy_policy(net, spec, cfg.features), name == "bc+audit")
-        elif name in ("bc+rl", "full"):
-            net, _ = _load_policy_checkpoint(out, f"ppo_lambda{lam}_seed{cfg.seed}.ckpt",
-                                             ppo_fingerprint(cfg), split, allow_stale, "finetune")
-            table[name] = (make_greedy_policy(net, spec, cfg.features), name == "full")
+        elif name in ("bc-only", "bc+audit", "bc+rl", "full"):
+            kind = "bc" if name in ("bc-only", "bc+audit") else "ppo"
+            net, _ = _load_policy_checkpoint(cfg, out, kind, split, allow_stale)
+            table[name] = (make_greedy_policy(net, spec, cfg.features), name in AUDITED_METHODS)
         else:
             raise StageError(f"unknown method {name!r}; choose from {ALL_METHODS}")
     return table
@@ -354,10 +348,9 @@ def _evaluate_method(name: str, policy, audited: bool, predictor, traces,
     if audited:
         res = evaluate_predictor_decisions(
             predictor, policy, traces, spec, w, guard_s=cfg.audit.guard_s,
-            capacity_margin=margin, history_len=cfg.history_len)
-        report = build_report(name, res.logs, v_dec=res.v_dec, overrate_hr=res.overrate_hr,
-                              tail_fraction=ev.tail_fraction, severe_threshold_s=ev.severe_threshold_s)
-        return report, res.logs
+            capacity_margin=margin, history_len=cfg.history_len,
+            tail_fraction=ev.tail_fraction, severe_threshold_s=ev.severe_threshold_s)
+        return dataclasses.replace(res.report, method=name), res.logs
     logs = [run_session(tr, spec, w, policy, history_len=cfg.history_len) for tr in traces]
     report = build_report(name, logs, tail_fraction=ev.tail_fraction,
                           severe_threshold_s=ev.severe_threshold_s)
@@ -385,6 +378,9 @@ def _format_table(reports) -> str:
 
 def cmd_evaluate(args) -> int:
     cfg = _resolve_config(args)
+    if "robust-mpc" in cfg.eval.methods and cfg.mpc.history_len > cfg.history_len:
+        raise StageError(f"mpc.history_len ({cfg.mpc.history_len}) may not exceed history_len "
+                         f"({cfg.history_len}), the throughput samples a session keeps")
     out = _out_dir(cfg)
     split = _read_split(out)
     test_traces = _load_traces(out, split["test"])

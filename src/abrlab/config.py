@@ -88,7 +88,6 @@ class VideoSection:
 class AuditSection:
     guard_s: float = 0.0
     capacity_margin: float = 0.90
-    enabled: bool = True
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def _collect_labeled_states(
 ) -> tuple[np.ndarray, np.ndarray]:
     # Exactly cfg.rollout_steps learner-visited states, expert-labeled; the
     # last episode is abandoned mid-flight once the quota is reached.
-    feats = np.empty((cfg.rollout_steps, feature_dim(fc, spec.ladder.num_rungs)))
+    feats = np.empty((cfg.rollout_steps, feature_dim(history_len, spec.ladder.num_rungs)))
     labels = np.empty(cfg.rollout_steps, dtype=int)
     collected = 0
     while collected < cfg.rollout_steps:
@@ -161,7 +161,7 @@ def pretrain(
     if not traces:
         raise ValueError("no training traces")
     if net is None:
-        net = init_policy_net(NetConfig(feature_dim(fc, spec.ladder.num_rungs), spec.ladder.num_rungs), seed)
+        net = init_policy_net(NetConfig(feature_dim(history_len, spec.ladder.num_rungs), spec.ladder.num_rungs), seed)
     rng = np.random.default_rng([seed, 101])
     opt = Adam(net.size, lr=cfg.learning_rate, max_grad_norm=None)
     dataset = ImitationDataset()

@@ -24,29 +24,26 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    history_len: int = 8
+    """Feature scaling; the history length is that of the state's own history."""
+
     throughput_scale_bps: float = 200e6  # generous link-rate reference
 
 
-def feature_dim(fc: FeatureConfig, num_rungs: int) -> int:
-    return fc.history_len + num_rungs + 3
+def feature_dim(history_len: int, num_rungs: int) -> int:
+    return history_len + num_rungs + 3
 
 
 def featurize(state: PlayerState, spec: VideoSpec, fc: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Fixed-size observation vector, everything scaled to roughly [0, 1].
+    """Observation vector, everything scaled to roughly [0, 1].
 
     Layout: [buffer fill, previous rung rate / top rate,
-             last `history_len` effective throughputs (oldest first) / scale,
+             the state's whole throughput history (oldest first) / scale,
              remaining-chunk fraction, per-rung next chunk sizes / top size].
     """
     hist = np.asarray(state.throughput_history, dtype=np.float64)
-    k = fc.history_len
-    if hist.size >= k:
-        hist = hist[-k:]
-    else:
-        hist = np.concatenate([np.zeros(k - hist.size), hist])
+    k = hist.size
     rates = np.asarray(state.ladder_kbps, dtype=np.float64)
-    out = np.empty(feature_dim(fc, rates.size))
+    out = np.empty(feature_dim(k, rates.size))
     out[0] = state.buffer_s / spec.buffer_max_s
     out[1] = rates[state.prev_rung] / rates[-1]
     out[2 : 2 + k] = hist / fc.throughput_scale_bps

@@ -1,10 +1,10 @@
 """Rule-based and planning decision functions.
 
 Every policy here is a pure function of its arguments: same state (plus
-trace/spec for the planners), same rung. The two planners enumerate all
-ladder^horizon plans exactly (7776 at the default 6-rung ladder, horizon 5);
-the enumeration is vectorized level by level so a single decision stays well
-under a millisecond.
+trace/spec for the planners), same rung. The two planners share one exact
+enumerator of all ladder^horizon plans (7776 at the default 6-rung ladder,
+horizon 5), vectorized level by level, and differ only in how they time a
+download.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import PlayerState, QoEWeights, VideoSpec, chunk_sizes
+from .sim import PlayerState, QoEWeights, VideoSpec
 from .traces import ThroughputTrace
 
 
@@ -87,10 +87,12 @@ def throughput_estimate(state: PlayerState, cfg: MpcConfig) -> float:
     return est
 
 
-def _plan_scores_const(d_mat: np.ndarray, state: PlayerState, w: QoEWeights) -> np.ndarray:
-    """QoE of every ladder^H plan when step h of rung a always takes d_mat[h, a]."""
-    horizon, num_rungs = d_mat.shape
+def _best_first_rung(download_time, state: PlayerState, w: QoEWeights, horizon: int) -> int:
+    """First rung of the best-QoE ladder^horizon plan from `state`. Called once
+    per level h, in order, `download_time(h, rung)` gives the seconds of step h
+    for the partial plans whose last rungs are `rung`."""
     rates = np.asarray(state.ladder_kbps, dtype=np.float64)
+    num_rungs = rates.size
     b = np.array([state.buffer_s])
     q = np.zeros(1)
     prev = np.array([state.prev_rung], dtype=int)
@@ -98,19 +100,15 @@ def _plan_scores_const(d_mat: np.ndarray, state: PlayerState, w: QoEWeights) -> 
         n = b.size
         b, q, prev = np.repeat(b, num_rungs), np.repeat(q, num_rungs), np.repeat(prev, num_rungs)
         rung = np.tile(np.arange(num_rungs), n)
-        d = d_mat[h, rung]
+        d = download_time(h, rung)
         rebuf = np.maximum(d - b, 0.0)
         q += rates[rung] / 1000.0 - w.rebuffer_penalty * rebuf \
             - w.smoothness_penalty * np.abs(rates[rung] - rates[prev]) / 1000.0
         b = np.minimum(state.buffer_max_s, np.maximum(b - d, 0.0) + state.chunk_duration_s)
         prev = rung
-    return q
-
-
-def _first_rung_of_best(scores: np.ndarray, num_rungs: int, horizon: int) -> int:
     # Leaves are in lexicographic plan order (first chunk varies slowest), so
     # argmax's first-hit tie rule lands on the lowest first rung.
-    return int(np.argmax(scores)) // (num_rungs ** (horizon - 1))
+    return int(np.argmax(q)) // (num_rungs ** (horizon - 1))
 
 
 def robust_mpc_decide(state: PlayerState, spec: VideoSpec, w: QoEWeights, cfg: MpcConfig = MpcConfig()) -> int:
@@ -124,10 +122,8 @@ def robust_mpc_decide(state: PlayerState, spec: VideoSpec, w: QoEWeights, cfg: M
     est = throughput_estimate(state, cfg)
     if est <= 0.0:
         return 0
-    t = state.chunk_index
-    d_mat = np.vstack([8.0 * chunk_sizes(spec, t + h) / est for h in range(horizon)])
-    scores = _plan_scores_const(d_mat, state, w)
-    return _first_rung_of_best(scores, spec.ladder.num_rungs, horizon)
+    d_mat = 8.0 * spec.sizes[state.chunk_index : state.chunk_index + horizon] / est
+    return _best_first_rung(lambda h, rung: d_mat[h, rung], state, w, horizon)
 
 
 def bulk_download_times(
@@ -173,31 +169,20 @@ def beam_expert_decide(
     first rung. The horizon is clipped to the remaining chunks.
     """
     horizon = min(horizon, state.remaining_chunks)
-    num_rungs = spec.ladder.num_rungs
-    rates = np.asarray(state.ladder_kbps, dtype=np.float64)
+    sizes = spec.sizes[state.chunk_index : state.chunk_index + horizon]
     cum = trace_cumulative_bytes(trace)
     bps = trace.throughput_bps
     t0 = float(trace.times_s[0])
-    t = state.chunk_index
+    u = np.array([state.wall_time_s])  # wall clock at the start of each partial plan's step
 
-    u = np.array([state.wall_time_s])
-    b = np.array([state.buffer_s])
-    q = np.zeros(1)
-    prev = np.array([state.prev_rung], dtype=int)
-    for h in range(horizon):
-        n = u.size
-        u, b, q, prev = (np.repeat(u, num_rungs), np.repeat(b, num_rungs),
-                         np.repeat(q, num_rungs), np.repeat(prev, num_rungs))
-        rung = np.tile(np.arange(num_rungs), n)
-        sizes = chunk_sizes(spec, t + h)[rung]
-        d = bulk_download_times(cum, bps, t0, u, sizes)
-        rebuf = np.maximum(d - b, 0.0)
-        q += rates[rung] / 1000.0 - w.rebuffer_penalty * rebuf \
-            - w.smoothness_penalty * np.abs(rates[rung] - rates[prev]) / 1000.0
-        b = np.minimum(state.buffer_max_s, np.maximum(b - d, 0.0) + state.chunk_duration_s)
+    def download_time(h, rung):
+        nonlocal u
+        u = np.repeat(u, spec.ladder.num_rungs)
+        d = bulk_download_times(cum, bps, t0, u, sizes[h, rung])
         u = u + d
-        prev = rung
-    return _first_rung_of_best(q, num_rungs, horizon)
+        return d
+
+    return _best_first_rung(download_time, state, w, horizon)
 
 
 def make_rate_rule_policy():

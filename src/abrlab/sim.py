@@ -56,6 +56,8 @@ class QoEWeights:
 
 @dataclass(frozen=True)
 class VideoSpec:
+    """`sizes[t, a]`: read-only bytes of rung a of chunk t (nominal size x jitter)."""
+
     num_chunks: int = 48
     chunk_duration_s: float = 4.0
     ladder: BitrateLadder = field(default_factory=BitrateLadder)
@@ -81,6 +83,10 @@ class VideoSpec:
             raise ValueError("initial_buffer_s must lie in [0, buffer_max_s]")
         jit = np.random.default_rng(self.jitter_seed).uniform(lo, hi, self.num_chunks)
         object.__setattr__(self, "_jitter", jit)
+        nominal = np.asarray(self.ladder.rungs_kbps, dtype=np.float64) * 1000.0 * self.chunk_duration_s / 8.0
+        sizes = nominal[None, :] * jit[:, None]
+        sizes.setflags(write=False)
+        object.__setattr__(self, "sizes", sizes)
 
     def jitter_multiplier(self, chunk_index: int) -> float:
         return float(self._jitter[chunk_index])
@@ -88,17 +94,17 @@ class VideoSpec:
 
 def chunk_size(spec: VideoSpec, chunk_index: int, rung: int) -> float:
     """Bytes of rung `rung` at chunk `chunk_index`, including per-chunk jitter."""
-    if not (0 <= chunk_index < spec.num_chunks):
-        raise ValueError(f"chunk_index {chunk_index} outside [0, {spec.num_chunks})")
+    sizes = chunk_sizes(spec, chunk_index)
     if not (0 <= rung < spec.ladder.num_rungs):
         raise ValueError(f"rung {rung} outside the ladder")
-    nominal = spec.ladder.rungs_kbps[rung] * 1000.0 * spec.chunk_duration_s / 8.0
-    return nominal * spec.jitter_multiplier(chunk_index)
+    return float(sizes[rung])
 
 
 def chunk_sizes(spec: VideoSpec, chunk_index: int) -> np.ndarray:
-    """Bytes for every rung of one chunk."""
-    return np.array([chunk_size(spec, chunk_index, a) for a in range(spec.ladder.num_rungs)])
+    """Bytes for every rung of one chunk (a writable copy)."""
+    if not (0 <= chunk_index < spec.num_chunks):
+        raise ValueError(f"chunk_index {chunk_index} outside [0, {spec.num_chunks})")
+    return spec.sizes[chunk_index].copy()
 
 
 def nominal_top_rung_bytes(spec: VideoSpec) -> float:
@@ -265,7 +271,6 @@ class SessionEnv:
         self.spec = spec
         self.w = w
         self.history_len = history_len
-        self._sizes = np.vstack([chunk_sizes(spec, t) for t in range(spec.num_chunks)])
         self.reset()
 
     def reset(self) -> PlayerState:
@@ -285,7 +290,7 @@ class SessionEnv:
             prev_rung=self._prev,
             throughput_history=self._hist.copy(),
             remaining_chunks=self.spec.num_chunks - self._t,
-            next_chunk_sizes=self._sizes[self._t].copy(),
+            next_chunk_sizes=self.spec.sizes[self._t].copy(),
             ladder_kbps=self.spec.ladder.rungs_kbps,
             chunk_duration_s=self.spec.chunk_duration_s,
             buffer_max_s=self.spec.buffer_max_s,
@@ -309,7 +314,7 @@ class SessionEnv:
         if not (0 <= rung < self.spec.ladder.num_rungs):
             raise ValueError(f"policy requested rung {rung} outside the ladder")
         raw = rung if raw_rung is None else int(raw_rung)
-        size = float(self._sizes[self._t, rung])
+        size = float(self.spec.sizes[self._t, rung])
         try:
             d, c = download_chunk(self.trace, self._now, size)
         except TraceExhaustedError:

@@ -173,10 +173,6 @@ class TestMakeAuditor:
         aud(_state(buffer_s=10.0), np.arange(1.0, 11.0), 2)
         assert pred.seen_lengths == [3]
 
-    def test_disabled_auditor_returns_none(self):
-        aud = make_auditor(_ConstPredictor(30e6), AuditConfig(enabled=False))
-        assert aud(_state(buffer_s=1.0), np.zeros(0), 5) is None
-
     def test_session_integration_counts_interventions(self):
         tr = ThroughputTrace("flat", np.arange(600.0), np.full(600, 30e6))
         aud = make_auditor(_ConstPredictor(30e6, input_len_s=10),
@@ -215,11 +211,6 @@ class TestOracleAuditor:
                 if not o.fallback:
                     assert not decision_violation(
                         o.size_bytes, o.effective_throughput_bps, o.buffer_before_s, 0.5)
-
-    def test_disabled_returns_none(self):
-        tr = ThroughputTrace("flat", np.arange(60.0), np.full(60, 30e6))
-        aud = make_oracle_auditor(tr, AuditConfig(enabled=False))
-        assert aud(_state(), np.zeros(0), 3) is None
 
 
 class TestAuditDecisionDefaults:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -252,6 +253,13 @@ class TestErrorPaths:
                      "--methods", "rate-rule", "--margin-grid"]) == 2
         assert "audited" in capsys.readouterr().err
 
+    def test_mpc_window_longer_than_history_is_rejected(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "exp.yaml", history_len=4, mpc={"horizon": 3, "history_len": 5})
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--methods", "robust-mpc"]) == 2
+        err = capsys.readouterr().err
+        assert "mpc.history_len (5)" in err and "history_len (4)" in err
+
     def test_ingest_then_split(self, tmp_path, capsys):
         ext = tmp_path / "external"
         ext.mkdir()
@@ -268,6 +276,23 @@ class TestErrorPaths:
         split = json.loads((run / "split.json").read_text())
         assert sorted(split["train"] + split["calibration"] + split["test"]) == \
             ["ext-0", "ext-1", "ext-2"]
+
+
+class TestCalibrateSettings:
+    def test_predictor_table_uses_configured_tail_settings(self, tmp_path):
+        cfg = _write_cfg(tmp_path / "exp.yaml",
+                         traces={"count": 8, "duration_s": 240, "split_train": 0.25,
+                                 "split_calibration": 0.5, "split_test": 0.25},
+                         eval={"tail_fraction": 0.5, "severe_threshold_s": 2.5})
+        run = tmp_path / "run"
+        for stage in ("gen-traces", "pretrain", "calibrate"):
+            assert main([stage, "--config", str(cfg), "--out", str(run)]) == 0
+        rows = read_report_csv(run / "reports" / "predictors.csv")
+        assert rows
+        for row in rows:
+            assert row.n_sessions >= 3  # enough that 0.5 and 0.05 give different k
+            assert row.tail_k == math.ceil(0.5 * row.n_sessions)
+            assert row.severe_threshold_s == 2.5
 
 
 class TestStaleness:

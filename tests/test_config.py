@@ -56,7 +56,7 @@ class TestRoundTrip:
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_yaml_file_round_trip(self, tmp_path):
-        cfg = _tweak(seed=3, video={"initial_buffer_s": 8.0}, audit={"enabled": False})
+        cfg = _tweak(seed=3, video={"initial_buffer_s": 8.0}, mpc={"robust": False})
         path = tmp_path / "exp.yaml"
         save_config(cfg, path)
         assert load_config(path) == cfg
@@ -110,8 +110,8 @@ class TestScalarRepair:
         assert got == 16.0 and isinstance(got, float)
 
     def test_bool_field_not_coerced(self):
-        cfg = config_from_dict({"audit": {"enabled": False}})
-        assert cfg.audit.enabled is False
+        cfg = config_from_dict({"mpc": {"robust": False}})
+        assert cfg.mpc.robust is False
 
     def test_tuple_fields_accept_lists(self):
         cfg = config_from_dict({
@@ -129,6 +129,12 @@ class TestValidation:
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ValueError, match=r"'video'.*nope"):
             config_from_dict({"video": {"nope": 1}})
+
+    def test_removed_audit_enabled_key_rejected(self):
+        # The audited methods are always audited; unaudited variants are
+        # separate methods, so the switch was removed and must not be ignored.
+        with pytest.raises(ValueError, match=r"'audit'.*enabled"):
+            config_from_dict({"audit": {"enabled": False}})
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="top-level"):

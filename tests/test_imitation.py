@@ -114,7 +114,7 @@ class TestDaggerRound:
         cfg = BcConfig(dagger_iterations=3, rollout_steps=40, epochs=1, batch_size=32,
                        expert_horizon=2)
         fc = FeatureConfig()
-        net = init_policy_net(NetConfig(feature_dim(fc, 6), 6, hidden=(8, 8)), 0)
+        net = init_policy_net(NetConfig(feature_dim(8, 6), 6, hidden=(8, 8)), 0)
         rng = np.random.default_rng(0)
         opt = Adam(net.size, lr=1e-3, max_grad_norm=None)
         ds = ImitationDataset()
@@ -129,7 +129,7 @@ class TestDaggerRound:
         spec = VideoSpec(num_chunks=10)
         cfg = BcConfig(rollout_steps=30, epochs=4, batch_size=16, expert_horizon=2)
         fc = FeatureConfig()
-        net = init_policy_net(NetConfig(feature_dim(fc, 6), 6, hidden=(8, 8)), 1)
+        net = init_policy_net(NetConfig(feature_dim(8, 6), 6, hidden=(8, 8)), 1)
         ds = ImitationDataset()
         stats = dagger_round(net, ds, _traces(), spec, W, cfg, fc,
                              np.random.default_rng(1), Adam(net.size, max_grad_norm=None),
@@ -159,7 +159,7 @@ class TestPretrain:
         fc = FeatureConfig()
         net, report = pretrain(_traces(), spec, W, cfg, fc, seed=9)
         assert report == []
-        fresh = init_policy_net(NetConfig(feature_dim(fc, 6), 6), 9)
+        fresh = init_policy_net(NetConfig(feature_dim(8, 6), 6), 9)
         assert np.array_equal(net.params, fresh.params)
 
     def test_no_traces_rejected(self):

@@ -27,7 +27,8 @@ from abrlab.net import (
     save_checkpoint,
     softmax,
 )
-from abrlab.sim import PlayerState, VideoSpec, chunk_sizes
+from abrlab.sim import PlayerState, QoEWeights, SessionEnv, VideoSpec, chunk_sizes
+from abrlab.traces import ThroughputTrace
 
 
 def _state(spec, buffer_s=4.0, prev=0, hist=(), chunk_index=0):
@@ -51,9 +52,9 @@ def _state(spec, buffer_s=4.0, prev=0, hist=(), chunk_index=0):
 class TestFeaturize:
     def test_layout_and_scaling(self):
         spec = VideoSpec(size_jitter=(1.0, 1.0))
-        fc = FeatureConfig(history_len=8, throughput_scale_bps=200e6)
+        fc = FeatureConfig(throughput_scale_bps=200e6)
         x = featurize(_state(spec, buffer_s=60.0, prev=5, hist=(100e6,)), spec, fc)
-        assert x.shape == (feature_dim(fc, 6),) == (17,)
+        assert x.shape == (feature_dim(8, 6),) == (17,)
         assert x[0] == 1.0                      # buffer fill
         assert x[1] == 1.0                      # prev rate over top rate
         assert np.array_equal(x[2:9], np.zeros(7))
@@ -73,11 +74,19 @@ class TestFeaturize:
         assert np.array_equal(x[2:10], np.zeros(8))
 
     def test_long_history_keeps_newest(self):
-        spec = VideoSpec(size_jitter=(1.0, 1.0))
-        fc = FeatureConfig(history_len=2, throughput_scale_bps=1.0)
-        s = _state(spec, hist=(1.0, 2.0, 3.0))
-        x = featurize(s, spec, fc)
-        assert np.array_equal(x[2:4], [2.0, 3.0])
+        # The session keeps its newest history_len throughputs; featurize lays
+        # out exactly that history, so the feature size follows history_len.
+        spec = VideoSpec(num_chunks=4, size_jitter=(1.0, 1.0))
+        trace = ThroughputTrace("ramp", np.arange(60.0), np.linspace(4e6, 40e6, 60))
+        env = SessionEnv(trace, spec, QoEWeights(), history_len=2)
+        state = env.reset()
+        for _ in range(3):
+            state, _, _ = env.step(0)
+        newest = [o.effective_throughput_bps for o in env.outcomes[-2:]]
+        assert env.outcomes[0].effective_throughput_bps not in newest
+        x = featurize(state, spec, FeatureConfig(throughput_scale_bps=1.0))
+        assert x.shape == (feature_dim(2, 6),)
+        assert np.array_equal(x[2:4], newest)
 
     def test_values_roughly_unit_scaled(self):
         spec = VideoSpec()

@@ -83,6 +83,20 @@ class TestChunkSize:
         assert chunk_size(a, 3, 2) == chunk_size(b, 3, 2)
         assert chunk_size(a, 3, 2) != chunk_size(c, 3, 2)
 
+    def test_size_table_matches_lookup_and_is_read_only(self):
+        for spec in (VideoSpec(), VideoSpec(num_chunks=5, jitter_seed=3, chunk_duration_s=2.5),
+                     VideoSpec(ladder=BitrateLadder((1000, 2500, 7000)), size_jitter=(0.8, 1.3))):
+            assert spec.sizes.shape == (spec.num_chunks, spec.ladder.num_rungs)
+            for t in range(spec.num_chunks):
+                for a in range(spec.ladder.num_rungs):
+                    nominal = spec.ladder.rungs_kbps[a] * 1000.0 * spec.chunk_duration_s / 8.0
+                    assert spec.sizes[t, a] == chunk_size(spec, t, a) == nominal * spec.jitter_multiplier(t)
+                assert np.array_equal(chunk_sizes(spec, t), spec.sizes[t])
+            with pytest.raises(ValueError):
+                spec.sizes[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            chunk_sizes(VideoSpec(num_chunks=5), 5)
+
     def test_top_rung_reference_bytes(self):
         assert nominal_top_rung_bytes(VideoSpec()) == 60e6
 
