@@ -25,7 +25,7 @@ def main():
             for i in range(30)]
     spec, w = VideoSpec(), QoEWeights()
 
-    cfg = PredictorConfig(input_len_s=75, horizon_s=15, delta=0.10)
+    cfg = PredictorConfig(horizon_s=15, delta=0.10)
     point = PointPredictor(cfg)
     result = calibrate_lower_bound(point, cal)
     lower = LowerBoundPredictor(point, result.scale)

@@ -14,7 +14,7 @@ traces: {count: 24, duration_s: 300}
 video: {num_chunks: 16}
 bc: {dagger_iterations: 3, rollout_steps: 300, epochs: 3, batch_size: 64, expert_horizon: 4}
 ppo: {total_steps: 2048, n_steps: 128, n_envs: 2, minibatch_size: 64, epochs: 4}
-predictor: {input_len_s: 40, horizon_s: 10}
+predictor: {horizon_s: 10}
 mpc: {horizon: 4}
 YAML
 

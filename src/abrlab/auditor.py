@@ -83,21 +83,20 @@ def decision_violation(size_bytes: float, realized_bps: float, buffer_s: float, 
 def make_auditor(predictor, cfg: AuditConfig = AuditConfig()):
     """Wrap a scalar capacity predictor as a run_session auditor.
 
-    The predictor must expose `predict(history_bps) -> bps` and `input_len_s`.
+    The predictor must expose `predict(history_bps) -> bps`; it receives the
+    session's whole measured history and picks its own window from it.
     With no measured history yet (session start) no forecast exists, so the
     request passes through unaudited; the empty-set fallback still applies
     whenever the buffer is at or below the guard, which needs no forecast.
     """
-    input_len = int(getattr(predictor, "input_len_s", 0)) or None
 
     def auditor(state: PlayerState, history_bps: np.ndarray, raw_rung: int):
         if state.buffer_s - cfg.guard_s <= 0.0:
             safe, intervened = audit_action(raw_rung, _EMPTY)
             return AuditDecision(raw_rung, safe, intervened, fallback=True)
-        tail = history_bps[-input_len:] if input_len else history_bps
-        if tail.size == 0:
+        if history_bps.size == 0:
             return None
-        predicted = float(predictor.predict(tail))
+        predicted = float(predictor.predict(history_bps))
         feasible = feasible_set(state, state.next_chunk_sizes, predicted, cfg)
         safe, intervened = audit_action(raw_rung, feasible)
         return AuditDecision(

@@ -24,30 +24,23 @@ from .traces import ThroughputTrace
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    input_len_s: int = 75
-    horizon_s: int = 15
+    horizon_s: int = 15  # both the forecast window and the target window
     delta: float = 0.10
     candidates: tuple[str, ...] = ("point", "lower-bound")
 
     def __post_init__(self):
-        if self.input_len_s < 1 or self.horizon_s < 1:
-            raise ValueError("input_len_s and horizon_s must be at least 1")
+        if self.horizon_s < 1:
+            raise ValueError("horizon_s must be at least 1")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class PredictorInput:
-    history_bps: np.ndarray  # most recent 1 Hz samples, oldest first
-    horizon_s: int
-
-
-def point_predict(inp: PredictorInput) -> float:
-    """Mean of the last min(horizon, available) seconds of history."""
-    h = np.asarray(inp.history_bps, dtype=np.float64)
+def point_predict(history_bps: np.ndarray, horizon_s: int) -> float:
+    """Mean of the last min(horizon, available) 1 Hz samples, oldest first."""
+    h = np.asarray(history_bps, dtype=np.float64)
     if h.size == 0:
         raise ValueError("cannot forecast from an empty history")
-    return float(h[-min(inp.horizon_s, h.size):].mean())
+    return float(h[-min(horizon_s, h.size):].mean())
 
 
 def realized_target(trace: ThroughputTrace, t: float, horizon_s: int) -> float:
@@ -76,13 +69,8 @@ class PointPredictor:
         self.cfg = cfg
         self.predictor_id = "point"
 
-    @property
-    def input_len_s(self) -> int:
-        return self.cfg.input_len_s
-
     def predict(self, history_bps: np.ndarray) -> float:
-        tail = np.asarray(history_bps, dtype=np.float64)[-self.cfg.input_len_s:]
-        return point_predict(PredictorInput(tail, self.cfg.horizon_s))
+        return point_predict(history_bps, self.cfg.horizon_s)
 
 
 class LowerBoundPredictor:
@@ -95,10 +83,6 @@ class LowerBoundPredictor:
         self.scale = float(scale)
         self.predictor_id = "lower-bound"
 
-    @property
-    def input_len_s(self) -> int:
-        return self.point.input_len_s
-
     def predict(self, history_bps: np.ndarray) -> float:
         return self.scale * self.point.predict(history_bps)
 
@@ -108,7 +92,6 @@ class OraclePredictor:
 
     is_oracle = True
     predictor_id = "oracle"
-    input_len_s = 0
 
     def predict(self, history_bps: np.ndarray) -> float:  # pragma: no cover
         raise NotImplementedError("the oracle binds to a trace inside the session runner")
@@ -119,7 +102,6 @@ class CalibrationResult:
     scale: float
     delta: float
     horizon_s: int
-    input_len_s: int
     n_windows: int
 
 
@@ -157,7 +139,6 @@ def calibrate_lower_bound(point: PointPredictor, traces: Sequence[ThroughputTrac
         scale=lower_quantile(ratios, delta),
         delta=delta,
         horizon_s=point.cfg.horizon_s,
-        input_len_s=point.cfg.input_len_s,
         n_windows=int(ratios.size),
     )
 
@@ -247,17 +228,3 @@ def evaluate_predictor_decisions(
         report=report,
         logs=tuple(logs),
     )
-
-
-def select_predictor(results: Sequence[DecisionEvalResult], qoe_tolerance: float = 0.03) -> str:
-    """Least worst-5% rebuffering among candidates within (1 - tol) of best QoE.
-
-    Ties break toward the lower decision-violation rate, then lexicographic id.
-    """
-    if not results:
-        raise ValueError("no predictor candidates to select from")
-    best_qoe = max(r.report.qoe_mean for r in results)
-    floor = best_qoe * (1.0 - qoe_tolerance) if best_qoe >= 0 else best_qoe * (1.0 + qoe_tolerance)
-    eligible = [r for r in results if r.report.qoe_mean >= floor]
-    chosen = min(eligible, key=lambda r: (r.report.rebuf_worst5_s, r.v_dec, r.predictor_id))
-    return chosen.predictor_id

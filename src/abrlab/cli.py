@@ -8,9 +8,11 @@ artifacts there:
     <out>/split.json                      train / calibration / test ids
     <out>/checkpoints/bc_seed<K>.ckpt     cloned policy (+ _history.json)
     <out>/checkpoints/ppo_lambda<L>_seed<K>.ckpt  fine-tuned policy (+ _curve.json)
-    <out>/calibration.json                lower-bound scale
+    <out>/calibration.json                lower-bound scale and frozen policy
+    <out>/reports/predictors.csv          candidate predictors scored on calibration traces
     <out>/reports/methods.{csv,json}      per-method risk table
     <out>/reports/sessions_<method>.csv   per-session rows
+    <out>/reports/margin_grid.csv         audited methods across eval.margin_grid
 
 Checkpoints and the calibration record carry a fingerprint of the config
 slice that produced them; evaluation refuses stale artifacts unless
@@ -31,7 +33,7 @@ import numpy as np
 
 from .capacity import (LowerBoundPredictor, OraclePredictor, PointPredictor,
                        calibrate_lower_bound, coverage_miss_rate,
-                       evaluate_predictor_decisions, select_predictor)
+                       evaluate_predictor_decisions)
 from .config import (ALL_METHODS, ExperimentConfig, bc_fingerprint, calibration_fingerprint,
                      load_config, ppo_fingerprint, save_config, traces_fingerprint, with_overrides)
 from .imitation import pretrain
@@ -289,18 +291,17 @@ def cmd_calibrate(args) -> int:
             tail_fraction=cfg.eval.tail_fraction, severe_threshold_s=cfg.eval.severe_threshold_s)
         for name in cfg.predictor.candidates
     ]
-    selected = select_predictor(results, cfg.eval.qoe_tolerance)
     report_dir = out / "reports"
     report_dir.mkdir(exist_ok=True)
     write_report_csv([r.report for r in results], report_dir / "predictors.csv")
     payload = dataclasses.asdict(result)
     payload.update({
         "fingerprint": calibration_fingerprint(cfg), "trace_set": split["trace_set"],
-        "selected": selected, "frozen_policy": policy_stem,
+        "frozen_policy": policy_stem,
     })
     (out / "calibration.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     line = (f"calibrated scale={result.scale:.4f} from {result.n_windows} windows "
-            f"(delta={result.delta}); selected {selected!r} of {list(cfg.predictor.candidates)}")
+            f"(delta={result.delta}); scored {list(cfg.predictor.candidates)} under {policy_stem}")
     if split["test"]:
         lb = LowerBoundPredictor(point, result.scale)
         miss, n = coverage_miss_rate(lb, _load_traces(out, split["test"]))
@@ -479,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="start from a checkpoint whose fingerprint no longer matches")
     p_ft.add_argument("--resume", action="store_true",
                       help="continue a partially fine-tuned checkpoint up to the configured steps")
-    add("calibrate", cmd_calibrate, "fit the lower-bound scale and rank predictor candidates",
+    add("calibrate", cmd_calibrate, "fit the lower-bound scale and score predictor candidates",
         lam=True, audit=True)
     add("evaluate", cmd_evaluate, "score methods on the test split", lam=True, audit=True,
         eval_flags=True)

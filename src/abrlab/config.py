@@ -15,6 +15,7 @@ from pathlib import Path
 
 import yaml
 
+from .auditor import AuditConfig
 from .capacity import PredictorConfig
 from .imitation import BcConfig
 from .net import FeatureConfig
@@ -85,19 +86,12 @@ class VideoSection:
 
 
 @dataclass(frozen=True)
-class AuditSection:
-    guard_s: float = 0.0
-    capacity_margin: float = 0.90
-
-
-@dataclass(frozen=True)
 class EvalSection:
     methods: tuple[str, ...] = ALL_METHODS
     handover_window_s: float = 300.0
     handover_top_fraction: float = 0.30
     severe_threshold_s: float = 10.0
     tail_fraction: float = 0.05
-    qoe_tolerance: float = 0.03
     margin_grid: tuple[float, ...] = (0.90, 0.95, 1.00)
 
 
@@ -114,7 +108,7 @@ class ExperimentConfig:
     ppo: PpoConfig = field(default_factory=PpoConfig)
     cvar: CvarConfig = field(default_factory=CvarConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    audit: AuditSection = field(default_factory=AuditSection)
+    audit: AuditConfig = field(default_factory=AuditConfig)
     mpc: MpcConfig = field(default_factory=MpcConfig)
     bola: BolaConfig = field(default_factory=BolaConfig)
     eval: EvalSection = field(default_factory=EvalSection)
@@ -129,7 +123,7 @@ _SECTIONS = {
     "ppo": PpoConfig,
     "cvar": CvarConfig,
     "predictor": PredictorConfig,
-    "audit": AuditSection,
+    "audit": AuditConfig,
     "mpc": MpcConfig,
     "bola": BolaConfig,
     "eval": EvalSection,

@@ -204,8 +204,12 @@ def save_checkpoint(path: str | Path, net: PolicyNet, metadata: dict | None = No
     """One JSON manifest line, then the raw little-endian float64 parameters.
 
     Deliberately not an archive format: identical inputs produce identical
-    bytes, so checkpoint hashes are reproducible.
+    bytes, so checkpoint hashes are reproducible. A net holding a NaN or inf
+    parameter is refused before anything is written.
     """
+    bad = int(np.count_nonzero(~np.isfinite(net.params)))
+    if bad:
+        raise ValueError(f"{path}: refusing to save a checkpoint with {bad} non-finite parameters")
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,

@@ -401,7 +401,7 @@ def test_criterion_09_pipeline_determinism(tmp_path):
         "ppo": {"total_steps": 256, "n_steps": 32, "n_envs": 2,
                 "minibatch_size": 32, "epochs": 2},
         "cvar": {"window": 64},
-        "predictor": {"input_len_s": 30, "horizon_s": 10},
+        "predictor": {"horizon_s": 10},
         "mpc": {"horizon": 3},
     }), encoding="utf-8")
 

@@ -131,9 +131,8 @@ class TestDecisionViolation:
 
 
 class _ConstPredictor:
-    def __init__(self, bps, input_len_s=0):
+    def __init__(self, bps):
         self.bps = bps
-        self.input_len_s = input_len_s
         self.seen_lengths = []
 
     def predict(self, history_bps):
@@ -167,15 +166,15 @@ class TestMakeAuditor:
         d = aud(_state(buffer_s=10.0), np.full(5, 1e6), 0)
         assert d.effective_capacity_bps == pytest.approx(36e6)
 
-    def test_history_trimmed_to_predictor_input_len(self):
-        pred = _ConstPredictor(30e6, input_len_s=3)
+    def test_predictor_sees_the_whole_history(self):
+        pred = _ConstPredictor(30e6)
         aud = make_auditor(pred, AuditConfig())
         aud(_state(buffer_s=10.0), np.arange(1.0, 11.0), 2)
-        assert pred.seen_lengths == [3]
+        assert pred.seen_lengths == [10]
 
     def test_session_integration_counts_interventions(self):
         tr = ThroughputTrace("flat", np.arange(600.0), np.full(600, 30e6))
-        aud = make_auditor(_ConstPredictor(30e6, input_len_s=10),
+        aud = make_auditor(_ConstPredictor(30e6),
                            AuditConfig(guard_s=2.0, capacity_margin=1.0))
         log = run_session(tr, VideoSpec(num_chunks=12, size_jitter=(1.0, 1.0)), W,
                           lambda s: 5, auditor=aud)

@@ -7,12 +7,10 @@ import pytest
 
 from abrlab.capacity import (
     CalibrationResult,
-    DecisionEvalResult,
     LowerBoundPredictor,
     OraclePredictor,
     PointPredictor,
     PredictorConfig,
-    PredictorInput,
     calibrate_lower_bound,
     calibration_ratios,
     coverage_miss_rate,
@@ -21,10 +19,8 @@ from abrlab.capacity import (
     lower_quantile,
     point_predict,
     realized_target,
-    select_predictor,
     violation_rate,
 )
-from abrlab.metrics import RiskReport
 from abrlab.sim import QoEWeights, VideoSpec
 from abrlab.traces import SynthConfig, ThroughputTrace, synthesize_trace
 
@@ -33,28 +29,26 @@ W = QoEWeights()
 
 class TestPointPredict:
     def test_constant_history(self):
-        assert point_predict(PredictorInput(np.full(30, 50e6), 15)) == 50e6
+        assert point_predict(np.full(30, 50e6), 15) == 50e6
 
     def test_mean_of_last_horizon_seconds(self):
         hist = np.array([20e6, 40e6, 20e6, 40e6])
-        assert point_predict(PredictorInput(hist, 2)) == pytest.approx(30e6)
+        assert point_predict(hist, 2) == pytest.approx(30e6)
 
     def test_short_history_uses_what_exists(self):
-        assert point_predict(PredictorInput(np.array([10e6]), 15)) == 10e6
+        assert point_predict(np.array([10e6]), 15) == 10e6
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            point_predict(PredictorInput(np.zeros(0), 15))
+            point_predict(np.zeros(0), 15)
 
-    def test_predictor_trims_to_input_len_then_horizon(self):
-        cfg = PredictorConfig(input_len_s=5, horizon_s=3)
+    def test_predictor_averages_configured_horizon(self):
+        cfg = PredictorConfig(horizon_s=3)
         hist = np.arange(1.0, 11.0)  # 1..10
-        # keep [6..10], then average the last 3 of those
+        # the whole history goes in; the last 3 samples are averaged
         assert PointPredictor(cfg).predict(hist) == pytest.approx(9.0)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PredictorConfig(input_len_s=0)
         with pytest.raises(ValueError):
             PredictorConfig(horizon_s=0)
         with pytest.raises(ValueError):
@@ -117,21 +111,21 @@ def _step_trace(tid="step", reps=1):
 
 class TestCalibration:
     def test_ratio_windows_constant_trace(self):
-        cfg = PredictorConfig(input_len_s=10, horizon_s=5)
+        cfg = PredictorConfig(horizon_s=5)
         tr = ThroughputTrace("c", np.arange(60.0), np.full(60, 30e6))
         ratios = calibration_ratios(PointPredictor(cfg), [tr])
         assert ratios.size == 55  # one per start second that fits the horizon
         assert np.allclose(ratios, 1.0)
 
     def test_ratio_windows_hand_computed(self):
-        cfg = PredictorConfig(input_len_s=10, horizon_s=2)
+        cfg = PredictorConfig(horizon_s=2)
         ratios = calibration_ratios(PointPredictor(cfg), [_step_trace()])
         # throughput 4,4,4,2,2,2: forecasts are trailing 2-means, targets
         # leading 2-means; the first four windows are 4/4, 3/4, 2/4, 2/3
         assert ratios[:4] == pytest.approx([1.0, 0.75, 0.5, 2.0 / 3.0])
 
     def test_scale_is_the_delta_quantile_of_ratios(self):
-        cfg = PredictorConfig(input_len_s=10, horizon_s=2, delta=0.25)
+        cfg = PredictorConfig(horizon_s=2, delta=0.25)
         traces = [_step_trace(f"s{i}", reps=10) for i in range(2)]
         result = calibrate_lower_bound(PointPredictor(cfg), traces)
         ratios = calibration_ratios(PointPredictor(cfg), traces)
@@ -141,18 +135,18 @@ class TestCalibration:
         assert result.horizon_s == 2
 
     def test_constant_traces_calibrate_to_unit_scale(self):
-        cfg = PredictorConfig(input_len_s=10, horizon_s=5, delta=0.1)
+        cfg = PredictorConfig(horizon_s=5, delta=0.1)
         tr = ThroughputTrace("c", np.arange(80.0), np.full(80, 30e6))
         assert calibrate_lower_bound(PointPredictor(cfg), [tr]).scale == 1.0
 
     def test_too_few_windows_rejected(self):
-        cfg = PredictorConfig(input_len_s=10, horizon_s=5)
+        cfg = PredictorConfig(horizon_s=5)
         tr = ThroughputTrace("tiny", np.arange(20.0), np.full(20, 30e6))
         with pytest.raises(ValueError, match="at least 50"):
             calibrate_lower_bound(PointPredictor(cfg), [tr])
 
     def test_explicit_delta_overrides_config(self):
-        cfg = PredictorConfig(input_len_s=10, horizon_s=2, delta=0.25)
+        cfg = PredictorConfig(horizon_s=2, delta=0.25)
         traces = [_step_trace(reps=10)]
         res = calibrate_lower_bound(PointPredictor(cfg), traces, delta=0.5)
         assert res.delta == 0.5
@@ -161,12 +155,11 @@ class TestCalibration:
 
 class TestLowerBoundPredictor:
     def test_prediction_is_scaled_point(self):
-        point = PointPredictor(PredictorConfig(input_len_s=10, horizon_s=5))
+        point = PointPredictor(PredictorConfig(horizon_s=5))
         lb = LowerBoundPredictor(point, scale=0.4)
         hist = np.full(20, 50e6)
         assert lb.predict(hist) == pytest.approx(0.4 * point.predict(hist))
         assert lb.predictor_id == "lower-bound"
-        assert lb.input_len_s == 10
 
     def test_non_positive_scale_rejected(self):
         point = PointPredictor(PredictorConfig())
@@ -175,7 +168,7 @@ class TestLowerBoundPredictor:
 
     def test_calibration_set_coverage_bounded_by_delta(self):
         # strict misses on the fitting windows cannot exceed the fitted quantile rank
-        cfg = PredictorConfig(input_len_s=30, horizon_s=10, delta=0.10)
+        cfg = PredictorConfig(horizon_s=10, delta=0.10)
         traces = [synthesize_trace(SynthConfig(duration_s=200, seed=60 + i), f"cal-{i}")
                   for i in range(3)]
         point = PointPredictor(cfg)
@@ -186,7 +179,7 @@ class TestLowerBoundPredictor:
         assert miss <= cfg.delta
 
     def test_fresh_trace_coverage_near_delta(self):
-        cfg = PredictorConfig(input_len_s=30, horizon_s=10, delta=0.10)
+        cfg = PredictorConfig(horizon_s=10, delta=0.10)
         fit = [synthesize_trace(SynthConfig(duration_s=300, seed=70 + i), f"fit-{i}")
                for i in range(6)]
         held = [synthesize_trace(SynthConfig(duration_s=300, seed=90 + i), f"held-{i}")
@@ -198,7 +191,7 @@ class TestLowerBoundPredictor:
         assert miss <= 0.25  # same generator family, so near the nominal 0.10
 
     def test_no_windows_rejected(self):
-        point = PointPredictor(PredictorConfig(input_len_s=10, horizon_s=50))
+        point = PointPredictor(PredictorConfig(horizon_s=50))
         lb = LowerBoundPredictor(point, 1.0)
         tr = ThroughputTrace("short", np.arange(10.0), np.full(10, 1e6))
         with pytest.raises(ValueError, match="no evaluation windows"):
@@ -232,7 +225,6 @@ class TestHighRiskOverrate:
 
 class _HugePredictor:
     predictor_id = "huge"
-    input_len_s = 10
 
     def predict(self, history_bps):
         return 1e12
@@ -265,7 +257,7 @@ class TestDecisionEvaluation:
     def test_honest_predictor_on_adequate_link_is_clean(self):
         tr = ThroughputTrace("ok", np.arange(600.0), np.full(600, 30e6))
         spec = VideoSpec(num_chunks=12, size_jitter=(1.0, 1.0))
-        point = PointPredictor(PredictorConfig(input_len_s=10, horizon_s=5))
+        point = PointPredictor(PredictorConfig(horizon_s=5))
         res = evaluate_predictor_decisions(point, lambda s: 5, [tr], spec, W,
                                            guard_s=0.0, capacity_margin=0.9)
         assert res.v_dec == 0.0
@@ -274,44 +266,3 @@ class TestDecisionEvaluation:
     def test_no_traces_rejected(self):
         with pytest.raises(ValueError, match="no traces"):
             evaluate_predictor_decisions(OraclePredictor(), lambda s: 0, [], VideoSpec(), W)
-
-
-def _result(pid, qoe, worst5, v_dec=0.0):
-    report = RiskReport(
-        method=pid, n_sessions=10, qoe_mean=qoe, rebuf_mean_s=worst5 / 3.0,
-        rebuf_worst5_s=worst5, severe_ratio=0.0, severe_threshold_s=10.0,
-        tail_k=1, audit_rate=0.0, v_dec=v_dec, overrate_hr=0.0,
-    )
-    return DecisionEvalResult(predictor_id=pid, v_dec=v_dec, overrate_hr=0.0,
-                              n_decisions=100, n_admitted=100, report=report, logs=())
-
-
-class TestSelectPredictor:
-    def test_lower_tail_wins_inside_the_qoe_band(self):
-        a = _result("point", qoe=100.0, worst5=30.0)
-        b = _result("lower-bound", qoe=98.0, worst5=22.0)
-        assert select_predictor([a, b], qoe_tolerance=0.03) == "lower-bound"
-
-    def test_qoe_floor_excludes_weak_candidates(self):
-        a = _result("point", qoe=100.0, worst5=30.0)
-        b = _result("lower-bound", qoe=90.0, worst5=1.0)
-        assert select_predictor([a, b], qoe_tolerance=0.03) == "point"
-
-    def test_tail_tie_breaks_on_decision_violations_then_id(self):
-        a = _result("b-name", qoe=100.0, worst5=20.0, v_dec=0.02)
-        b = _result("a-name", qoe=100.0, worst5=20.0, v_dec=0.01)
-        assert select_predictor([a, b]) == "a-name"
-        c = _result("z", qoe=100.0, worst5=20.0, v_dec=0.01)
-        assert select_predictor([b, c]) == "a-name"
-
-    def test_negative_qoe_band(self):
-        a = _result("point", qoe=-10.0, worst5=30.0)
-        b = _result("lower-bound", qoe=-10.2, worst5=5.0)
-        assert select_predictor([a, b], qoe_tolerance=0.03) == "lower-bound"
-
-    def test_single_candidate(self):
-        assert select_predictor([_result("only", 1.0, 1.0)]) == "only"
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            select_predictor([])

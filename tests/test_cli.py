@@ -23,7 +23,7 @@ TINY = {
            "batch_size": 32, "learning_rate": 5e-3, "expert_horizon": 3},
     "ppo": {"total_steps": 256, "n_steps": 32, "n_envs": 2, "minibatch_size": 32, "epochs": 2},
     "cvar": {"window": 64},
-    "predictor": {"input_len_s": 30, "horizon_s": 10},
+    "predictor": {"horizon_s": 10},
     "mpc": {"horizon": 3},
 }
 
@@ -112,7 +112,6 @@ class TestPipelineArtifacts:
         payload = json.loads((pipeline / "calibration.json").read_text())
         assert payload["scale"] > 0.0
         assert payload["n_windows"] >= 50
-        assert payload["selected"] in ("point", "lower-bound")
         assert payload["frozen_policy"] == "ppo_lambda20_seed5"
         cfg = load_config(pipeline / "config.yaml")
         assert payload["fingerprint"] == calibration_fingerprint(cfg)

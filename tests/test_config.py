@@ -81,6 +81,12 @@ class TestRoundTrip:
         cfg = load_config(REPO_ROOT / "configs" / "default.yaml")
         assert cfg == dataclasses.replace(ExperimentConfig(), output_dir="runs/default")
 
+    def test_demo_pipeline_config_loads(self):
+        script = (REPO_ROOT / "demos" / "06_full_pipeline.sh").read_text(encoding="utf-8")
+        inline = script.split("<<'YAML'\n", 1)[1].split("\nYAML\n", 1)[0]
+        cfg = config_from_dict(yaml.safe_load(inline))
+        assert cfg.predictor.horizon_s == 10
+
 
 class TestScalarRepair:
     def test_unsigned_exponent_string_becomes_float(self):
@@ -130,11 +136,24 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"'video'.*nope"):
             config_from_dict({"video": {"nope": 1}})
 
-    def test_removed_audit_enabled_key_rejected(self):
-        # The audited methods are always audited; unaudited variants are
-        # separate methods, so the switch was removed and must not be ignored.
-        with pytest.raises(ValueError, match=r"'audit'.*enabled"):
-            config_from_dict({"audit": {"enabled": False}})
+    @pytest.mark.parametrize("section, key, value", [
+        # the audited methods are always audited; unaudited variants are separate methods
+        ("audit", "enabled", False),
+        # the point forecast averages the last horizon_s samples; no second window
+        ("predictor", "input_len_s", 75),
+        # calibrate scores the candidates and selects none, so there is no QoE band
+        ("eval", "qoe_tolerance", 0.03),
+    ], ids=["audit.enabled", "predictor.input_len_s", "eval.qoe_tolerance"])
+    def test_removed_key_rejected(self, section, key, value):
+        # A removed key must fail loudly instead of being silently ignored.
+        with pytest.raises(ValueError, match=rf"'{section}'.*{key}"):
+            config_from_dict({section: {key: value}})
+
+    def test_bad_audit_margin_rejected_at_load(self):
+        with pytest.raises(ValueError, match="capacity_margin"):
+            config_from_dict({"audit": {"capacity_margin": 1.5}})
+        with pytest.raises(ValueError, match="guard_s"):
+            config_from_dict({"audit": {"guard_s": -1.0}})
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="top-level"):

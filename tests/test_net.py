@@ -367,3 +367,11 @@ class TestCheckpoints:
         p.write_bytes(raw[:-16])
         with pytest.raises(ValueError):
             load_checkpoint(p)
+
+    def test_non_finite_parameter_refused(self, tmp_path):
+        net = self._net()
+        net.params[3] = np.nan
+        p = tmp_path / "nan.ckpt"
+        with pytest.raises(ValueError, match=r"nan\.ckpt.* 1 non-finite"):
+            save_checkpoint(p, net)
+        assert not p.exists()
