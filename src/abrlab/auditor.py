@@ -30,7 +30,7 @@ class AuditConfig:
         if self.guard_s < 0:
             raise ValueError("guard_s must be non-negative")
         if not (0.0 < self.capacity_margin <= 1.0):
-            raise ValueError("capacity_margin must lie in (0, 1]")
+            raise ValueError(f"capacity_margin must lie in (0, 1], got {self.capacity_margin}")
 
 
 @dataclass(frozen=True)

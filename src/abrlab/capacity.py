@@ -196,7 +196,7 @@ def evaluate_predictor_decisions(
     if not traces:
         raise ValueError("no traces to evaluate")
     oracle = bool(getattr(predictor, "is_oracle", False))
-    cfg = AuditConfig(guard_s=guard_s, capacity_margin=1.0 if oracle else capacity_margin)
+    cfg = AuditConfig(guard_s=guard_s, capacity_margin=capacity_margin)  # the oracle reads only guard_s
     logs: list[SessionLog] = []
     predicted: list[float] = []
     realized: list[float] = []

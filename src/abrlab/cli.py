@@ -29,19 +29,17 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .capacity import (LowerBoundPredictor, OraclePredictor, PointPredictor,
                        calibrate_lower_bound, coverage_miss_rate,
                        evaluate_predictor_decisions)
-from .config import (ALL_METHODS, ExperimentConfig, bc_fingerprint, calibration_fingerprint,
+from .config import (ExperimentConfig, bc_fingerprint, calibration_fingerprint,
                      load_config, ppo_fingerprint, save_config, traces_fingerprint, with_overrides)
 from .imitation import pretrain
 from .metrics import REPORT_COLUMNS, RiskReport, build_report, read_report_csv, write_report_csv, write_report_json
 from .net import load_checkpoint, make_greedy_policy, save_checkpoint
 from .policies import make_bola_policy, make_rate_rule_policy, make_robust_mpc_policy
 from .risk_ppo import finetune
-from .sim import run_session
+from .sim import run_session, session_summary
 from .traces import (ThroughputTrace, handover_heavy_subset, ingest_trace, split_traces,
                      synthesize_trace, write_trace)
 
@@ -333,12 +331,10 @@ def _method_policies(cfg: ExperimentConfig, out: Path, split: dict, allow_stale:
             table[name] = (make_bola_policy(cfg.bola), False)
         elif name == "robust-mpc":
             table[name] = (make_robust_mpc_policy(spec, w, cfg.mpc), False)
-        elif name in ("bc-only", "bc+audit", "bc+rl", "full"):
+        else:  # a cloned or fine-tuned policy; EvalSection admits only ALL_METHODS
             kind = "bc" if name in ("bc-only", "bc+audit") else "ppo"
             net, _ = _load_policy_checkpoint(cfg, out, kind, split, allow_stale)
             table[name] = (make_greedy_policy(net, spec, cfg.features), name in AUDITED_METHODS)
-        else:
-            raise StageError(f"unknown method {name!r}; choose from {ALL_METHODS}")
     return table
 
 
@@ -359,12 +355,11 @@ def _evaluate_method(name: str, policy, audited: bool, predictor, traces,
 
 
 def _write_session_rows(logs, path: Path) -> None:
+    rows = [session_summary(log) for log in logs]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["trace_id", "session_qoe", "rebuffer_s", "audit_interventions", "chunks", "truncated"])
-        for log in logs:
-            wr.writerow([log.trace_id, repr(log.session_qoe), repr(log.session_rebuffer_s),
-                         log.audit_interventions, len(log.outcomes), int(log.truncated)])
+        wr.writerow(rows[0].keys())
+        wr.writerows(row.values() for row in rows)
 
 
 def _format_table(reports) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import yaml
@@ -43,17 +43,8 @@ class TraceSection:
     split_test: float = 0.15
 
     def synth_config(self, seed) -> SynthConfig:
-        return SynthConfig(
-            duration_s=self.duration_s,
-            regime_mean_log_mbps=self.regime_mean_log_mbps,
-            regime_sigma_log=self.regime_sigma_log,
-            regime_dwell_s=self.regime_dwell_s,
-            handover_dip_fraction=self.handover_dip_fraction,
-            handover_dip_duration_s=self.handover_dip_duration_s,
-            ar1_rho=self.ar1_rho,
-            ar1_sigma_mbps=self.ar1_sigma_mbps,
-            seed=seed,
-        )
+        return SynthConfig(seed=seed, **{f.name: getattr(self, f.name)
+                                         for f in fields(SynthConfig) if f.name != "seed"})
 
     @property
     def split_fractions(self) -> tuple[float, float, float]:
@@ -94,6 +85,13 @@ class EvalSection:
     tail_fraction: float = 0.05
     margin_grid: tuple[float, ...] = (0.90, 0.95, 1.00)
 
+    def __post_init__(self):
+        unknown = set(self.methods) - set(ALL_METHODS)
+        if unknown:
+            raise ValueError(f"unknown methods {sorted(unknown)}; choose from {ALL_METHODS}")
+        for margin in self.margin_grid:  # by the auditor's own rule
+            AuditConfig(capacity_margin=margin)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -114,24 +112,6 @@ class ExperimentConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
 
-_SECTIONS = {
-    "traces": TraceSection,
-    "video": VideoSection,
-    "qoe": QoEWeights,
-    "features": FeatureConfig,
-    "bc": BcConfig,
-    "ppo": PpoConfig,
-    "cvar": CvarConfig,
-    "predictor": PredictorConfig,
-    "audit": AuditConfig,
-    "mpc": MpcConfig,
-    "bola": BolaConfig,
-    "eval": EvalSection,
-}
-
-_TUPLE_FIELDS = {"ladder_kbps", "methods", "margin_grid", "candidates"}
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     raw = asdict(cfg)
     for section in raw.values():
@@ -142,7 +122,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return raw
 
 
-def _coerce_scalar(value, annotation: str):
+def _coerce(value, annotation: str):
+    if annotation.startswith("tuple"):
+        return tuple(value)
     # YAML 1.1 reads unsigned exponents like 2.0e8 as strings; repair here.
     if value is None or isinstance(value, bool):
         return value
@@ -154,21 +136,21 @@ def _coerce_scalar(value, annotation: str):
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Build a config from parsed YAML. `ExperimentConfig` is the schema: each
+    field with a default_factory is a section of that dataclass's fields, the
+    others are top-level keys; values are coerced by their field annotation."""
     data = dict(data)
     kwargs = {}
-    for name, cls in _SECTIONS.items():
-        section = dict(data.pop(name, {}) or {})
-        fields = cls.__dataclass_fields__
-        unknown = set(section) - set(fields)
+    for sec in fields(ExperimentConfig):
+        if sec.default_factory is MISSING:
+            continue
+        section = dict(data.pop(sec.name, {}) or {})
+        types = {f.name: str(f.type) for f in fields(sec.default_factory)}
+        unknown = set(section) - set(types)
         if unknown:
-            raise ValueError(f"config section {name!r}: unknown keys {sorted(unknown)}")
-        for key in _TUPLE_FIELDS & set(section):
-            section[key] = tuple(section[key])
-        for key in set(section) - _TUPLE_FIELDS:
-            section[key] = _coerce_scalar(section[key], str(fields[key].type))
-        kwargs[name] = cls(**section)
-    top_valid = {"seed", "output_dir", "history_len"}
-    unknown = set(data) - top_valid
+            raise ValueError(f"config section {sec.name!r}: unknown keys {sorted(unknown)}")
+        kwargs[sec.name] = sec.default_factory(**{k: _coerce(v, types[k]) for k, v in section.items()})
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"config: unknown top-level keys {sorted(unknown)}")
     return ExperimentConfig(**{**data, **kwargs})
@@ -237,8 +219,5 @@ def with_overrides(cfg: ExperimentConfig, seed: int | None = None, out: str | No
     if guard is not None:
         cfg = replace(cfg, audit=replace(cfg.audit, guard_s=guard))
     if methods is not None:
-        unknown = set(methods) - set(ALL_METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}; choose from {ALL_METHODS}")
         cfg = replace(cfg, eval=replace(cfg.eval, methods=tuple(methods)))
     return cfg

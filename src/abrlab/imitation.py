@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .net import (Adam, FeatureConfig, NetConfig, PolicyNet, backward, feature_dim,
-                  featurize, forward, greedy_action, init_policy_net, sample_action)
+                  featurize, forward, init_policy_net, sample_action)
 from .policies import beam_expert_decide
 from .sim import QoEWeights, SessionEnv, VideoSpec
 from .traces import ThroughputTrace
@@ -113,9 +113,7 @@ def _collect_labeled_states(
             labels[collected] = expert_fn(state, trace)
             collected += 1
             probs, _ = forward(net, feats[collected - 1])
-            state, _, done = env.step(sample_action(probs, rng))
-            if done:
-                break
+            state, _, _ = env.step(sample_action(probs, rng))
     return feats, labels
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -102,10 +102,9 @@ def build_report(method: str, logs: Sequence[SessionLog],
     )
 
 
-REPORT_COLUMNS = (
-    "method", "n_sessions", "qoe_mean", "rebuf_mean_s", "rebuf_worst5_s",
-    "severe_ratio", "severe_threshold_s", "tail_k", "audit_rate", "v_dec", "overrate_hr",
-)
+# The risk-table header is `RiskReport`: a new column is a new field.
+REPORT_COLUMNS = tuple(f.name for f in fields(RiskReport))
+_PARSERS = {"str": str, "int": int, "float": float}
 
 
 def _cell(value) -> str:
@@ -128,25 +127,24 @@ def write_report_json(reports: Iterable[RiskReport], path: str | Path) -> None:
     Path(path).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _parse_cell(cell: str, annotation: str):
+    if annotation.endswith(" | None"):
+        return _PARSERS[annotation.removesuffix(" | None")](cell) if cell else None
+    return _PARSERS[annotation](cell)
+
+
 def read_report_csv(path: str | Path) -> list[RiskReport]:
+    """Parse a `write_report_csv` table, each cell by its `RiskReport` field's
+    annotation (empty is None only in `float | None` fields). Raises
+    ValueError on a foreign header, a row of the wrong length or a bad cell."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not text or text[0] != ",".join(REPORT_COLUMNS):
         raise ValueError(f"{path}: not a risk report (unexpected header)")
+    types = [f.type for f in fields(RiskReport)]
     out = []
-    for line in text[1:]:
+    for lineno, line in enumerate(text[1:], start=2):
         cells = line.split(",")
-        row = dict(zip(REPORT_COLUMNS, cells))
-        out.append(RiskReport(
-            method=row["method"],
-            n_sessions=int(row["n_sessions"]),
-            qoe_mean=float(row["qoe_mean"]),
-            rebuf_mean_s=float(row["rebuf_mean_s"]),
-            rebuf_worst5_s=float(row["rebuf_worst5_s"]),
-            severe_ratio=float(row["severe_ratio"]),
-            severe_threshold_s=float(row["severe_threshold_s"]),
-            tail_k=int(row["tail_k"]),
-            audit_rate=float(row["audit_rate"]),
-            v_dec=float(row["v_dec"]) if row["v_dec"] else None,
-            overrate_hr=float(row["overrate_hr"]) if row["overrate_hr"] else None,
-        ))
+        if len(cells) != len(types):
+            raise ValueError(f"{path}:{lineno}: {len(cells)} cells, the header has {len(types)}")
+        out.append(RiskReport(*(_parse_cell(c, t) for c, t in zip(cells, types))))
     return out

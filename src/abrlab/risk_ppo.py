@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .net import Adam, FeatureConfig, PolicyNet, backward, featurize, forward, sample_action
+from .net import (Adam, FeatureConfig, PolicyNet, backward, feature_dim, featurize, forward,
+                  sample_action)
 from .sim import QoEWeights, SessionEnv, VideoSpec
 from .traces import ThroughputTrace
 
@@ -227,23 +228,17 @@ class RolloutCollector:
         self.history_len = history_len
         self._envs: list[SessionEnv | None] = [None] * ppo.n_envs
         self._states = [None] * ppo.n_envs
-        self._ep_rebuf = np.zeros(ppo.n_envs)
-        self._ep_qoe = np.zeros(ppo.n_envs)
-        self._ep_len = np.zeros(ppo.n_envs, dtype=int)
 
     def _ensure_env(self, e: int):
         if self._envs[e] is None:
             trace = self.traces[int(self.rng.integers(len(self.traces)))]
             self._envs[e] = SessionEnv(trace, self.spec, self.w, history_len=self.history_len)
             self._states[e] = self._envs[e].reset()
-            self._ep_rebuf[e] = self._ep_qoe[e] = 0.0
-            self._ep_len[e] = 0
 
     def collect(self) -> RolloutBatch:
         ppo = self.ppo
         n = ppo.n_steps * ppo.n_envs
-        d = None
-        feats = None
+        feats = np.empty((n, feature_dim(self.history_len, self.spec.ladder.num_rungs)))
         actions = np.empty(n, dtype=int)
         logprobs = np.empty(n)
         rewards = np.empty(n)
@@ -259,9 +254,6 @@ class RolloutCollector:
                 self._ensure_env(e)
                 state = self._states[e]
                 x = featurize(state, self.spec, self.fc)
-                if feats is None:
-                    d = x.size
-                    feats = np.empty((n, d))
                 probs, value = forward(self.net, x)
                 a = sample_action(probs, self.rng)
                 next_state, outcome, done = self._envs[e].step(a)
@@ -269,21 +261,16 @@ class RolloutCollector:
                 actions[i] = a
                 logprobs[i] = float(np.log(probs[a]))
                 values[i] = value
-                if outcome is None:  # trace ran out mid-download
-                    rewards[i] = 0.0
-                else:
-                    rewards[i] = outcome.qoe
-                    self._ep_rebuf[e] += outcome.rebuffer_s
-                    self._ep_qoe[e] += outcome.qoe
-                self._ep_len[e] += 1
+                rewards[i] = 0.0 if outcome is None else outcome.qoe  # None: trace ran out mid-download
                 dones[i] = done
                 if done:
+                    log = self._envs[e].finish()
                     episodes.append(EpisodeInfo(
                         terminal_index=i,
-                        rebuffer_s=float(self._ep_rebuf[e]),
-                        qoe=float(self._ep_qoe[e]),
-                        length=int(self._ep_len[e]),
-                        truncated=self._envs[e].truncated,
+                        rebuffer_s=log.session_rebuffer_s,
+                        qoe=log.session_qoe,
+                        length=len(log.outcomes) + int(log.truncated),  # a truncating step logs no outcome
+                        truncated=log.truncated,
                     ))
                     self._envs[e] = None
                     self._states[e] = None

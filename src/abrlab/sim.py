@@ -11,11 +11,9 @@ instantaneous.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -219,39 +217,17 @@ class SessionLog:
         return sum(1 for o in self.outcomes if o.audited)
 
 
-CSV_FIELDS = (
-    "chunk_index", "rung", "raw_rung", "audited", "fallback", "size_bytes",
-    "download_time_s", "rebuffer_s", "effective_throughput_bps", "qoe",
-    "buffer_before_s", "buffer_after_s", "predicted_capacity_bps",
-    "effective_capacity_bps",
-)
-
-
-def session_to_csv(log: SessionLog, path: str | Path) -> None:
-    lines = [",".join(CSV_FIELDS)]
-    for o in log.outcomes:
-        row = [repr(float(v)) if isinstance(v, float) else str(int(v))
-               for v in (getattr(o, f) for f in CSV_FIELDS)]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def session_summary(log: SessionLog) -> dict:
-    n = len(log.outcomes)
+    """The per-session record: its keys, in order, are the header of
+    `reports/sessions_<method>.csv` and its values one row (`truncated` as 0/1)."""
     return {
         "trace_id": log.trace_id,
-        "num_chunks_planned": log.num_chunks_planned,
-        "chunks_downloaded": n,
-        "truncated": log.truncated,
         "session_qoe": log.session_qoe,
-        "session_rebuffer_s": log.session_rebuffer_s,
+        "rebuffer_s": log.session_rebuffer_s,
         "audit_interventions": log.audit_interventions,
-        "audit_rate": (log.audit_interventions / n) if n else 0.0,
+        "chunks": len(log.outcomes),
+        "truncated": int(log.truncated),
     }
-
-
-def session_to_json(log: SessionLog, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(session_summary(log), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 PolicyFn = Callable[[PlayerState], int]
@@ -378,7 +354,5 @@ def run_session(
         raw = int(policy(state))
         decision = auditor(state, env.measured_history_bps(), raw) if auditor is not None else None
         rung = int(getattr(decision, "safe_rung", raw)) if decision is not None else raw
-        state, _, done = env.step(rung, audit=decision, raw_rung=raw)
-        if done:
-            break
+        state, _, _ = env.step(rung, audit=decision, raw_rung=raw)
     return env.finish()

@@ -12,6 +12,7 @@ from abrlab.cli import main
 from abrlab.config import calibration_fingerprint, load_config, traces_fingerprint
 from abrlab.metrics import read_report_csv
 from abrlab.net import load_checkpoint
+from abrlab.sim import SessionLog, session_summary
 from abrlab.traces import synthesize_trace, write_trace
 from abrlab.traces import SynthConfig
 
@@ -139,10 +140,14 @@ class TestPipelineArtifacts:
 
     def test_session_rows_per_method(self, pipeline):
         split = json.loads((pipeline / "split.json").read_text())
+        header = ",".join(session_summary(SessionLog("t", 1, [])))
         for name in ("rate-rule", "bola", "robust-mpc", "bc-only", "bc_rl", "bc_audit", "full"):
             path = pipeline / "reports" / f"sessions_{name}.csv"
-            lines = path.read_text().strip().splitlines()
+            text = path.read_text()
+            lines = text.strip().splitlines()
+            assert lines[0] == header
             assert lines[0].startswith("trace_id,session_qoe,rebuffer_s,audit_interventions")
+            assert "np.float64" not in text
             assert len(lines) == 1 + 2
             listed = sorted(line.split(",")[0] for line in lines[1:])
             assert listed == sorted(split["test"])

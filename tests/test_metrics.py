@@ -189,6 +189,19 @@ class TestReportSerialization:
         with pytest.raises(ValueError, match="unexpected header"):
             read_report_csv(p)
 
+    def test_malformed_rows_rejected(self, tmp_path):
+        p = tmp_path / "methods.csv"
+        write_report_csv(self._reports(), p)
+        header, first = p.read_text().splitlines()[:2]
+        cells = first.split(",")
+        # an empty cell means None only in the `float | None` columns
+        i = REPORT_COLUMNS.index("qoe_mean")
+        empty_qoe = cells[:i] + [""] + cells[i + 1:]
+        for bad in (empty_qoe, cells[:-1]):
+            p.write_text(header + "\n" + ",".join(bad) + "\n")
+            with pytest.raises(ValueError):
+                read_report_csv(p)
+
     def test_v_dec_zero_survives_round_trip(self, tmp_path):
         # 0.0 is a meaningful value and must not collapse into "missing"
         logs = [_log("a", 0.0)]

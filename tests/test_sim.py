@@ -1,13 +1,11 @@
 """Chunk simulator: sizes, downloads, buffer dynamics, session replay."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from abrlab.sim import (
-    CSV_FIELDS,
     BitrateLadder,
     QoEWeights,
     SessionEnv,
@@ -22,8 +20,6 @@ from abrlab.sim import (
     rebuffer_time,
     run_session,
     session_summary,
-    session_to_csv,
-    session_to_json,
 )
 from abrlab.traces import SynthConfig, ThroughputTrace, synthesize_trace
 
@@ -360,30 +356,19 @@ class TestSessionEnv:
 
 
 class TestSerialization:
-    def _log(self):
+    def test_session_row(self):
+        # session_summary is the row of reports/sessions_<method>.csv: its keys
+        # are the header, its values the cells (Python floats, truncated as 0/1)
         trace = synthesize_trace(SynthConfig(duration_s=300, seed=13))
-        return run_session(trace, VideoSpec(num_chunks=8), QoEWeights(), lambda s: 2)
-
-    def test_csv_layout(self, tmp_path):
-        log = self._log()
-        p = tmp_path / "session.csv"
-        session_to_csv(log, p)
-        lines = p.read_text().strip().splitlines()
-        assert lines[0] == ",".join(CSV_FIELDS)
-        assert len(lines) == 1 + len(log.outcomes)
-        assert "np.float64" not in p.read_text()
-        first = dict(zip(CSV_FIELDS, lines[1].split(",")))
-        assert int(first["chunk_index"]) == 0
-        assert float(first["qoe"]) == pytest.approx(log.outcomes[0].qoe)
-        assert float(first["size_bytes"]) == log.outcomes[0].size_bytes
-
-    def test_json_summary(self, tmp_path):
-        log = self._log()
-        p = tmp_path / "session.json"
-        session_to_json(log, p)
-        data = json.loads(p.read_text())
-        assert data == session_summary(log)
-        assert data["chunks_downloaded"] == len(log.outcomes)
-        assert data["session_qoe"] == pytest.approx(log.session_qoe)
-        assert data["audit_rate"] == 0.0
-        assert data["truncated"] is False
+        log = run_session(trace, VideoSpec(num_chunks=8), QoEWeights(), lambda s: 2)
+        row = session_summary(log)
+        assert list(row) == ["trace_id", "session_qoe", "rebuffer_s", "audit_interventions",
+                             "chunks", "truncated"]
+        assert row == {"trace_id": log.trace_id, "session_qoe": log.session_qoe,
+                       "rebuffer_s": log.session_rebuffer_s, "audit_interventions": 0,
+                       "chunks": 8, "truncated": 0}
+        assert type(row["session_qoe"]) is float and type(row["rebuffer_s"]) is float
+        short = run_session(_const_trace(1e6, n=10), VideoSpec(num_chunks=8), QoEWeights(), lambda s: 5)
+        assert short.truncated
+        assert session_summary(short)["truncated"] == 1
+        assert session_summary(short)["chunks"] == len(short.outcomes) < 8
