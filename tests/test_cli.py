@@ -299,15 +299,18 @@ class TestCalibrateSettings:
             assert row.severe_threshold_s == 2.5
 
 
+STALENESS = {
+    "traces": {"count": 6, "duration_s": 180},
+    "bc": {"dagger_iterations": 1, "rollout_steps": 60, "epochs": 1,
+           "batch_size": 32, "expert_horizon": 3},
+    "ppo": {"total_steps": 128, "n_steps": 32, "n_envs": 2, "minibatch_size": 32, "epochs": 1},
+}
+
+
 class TestStaleness:
     @pytest.fixture()
     def trained(self, tmp_path):
-        cfg = _write_cfg(tmp_path / "exp.yaml",
-                         traces={"count": 6, "duration_s": 180},
-                         bc={"dagger_iterations": 1, "rollout_steps": 60, "epochs": 1,
-                             "batch_size": 32, "expert_horizon": 3},
-                         ppo={"total_steps": 128, "n_steps": 32, "n_envs": 2,
-                              "minibatch_size": 32, "epochs": 1})
+        cfg = _write_cfg(tmp_path / "exp.yaml", **STALENESS)
         run = tmp_path / "run"
         assert main(["gen-traces", "--config", str(cfg), "--out", str(run)]) == 0
         assert main(["pretrain", "--config", str(cfg), "--out", str(run)]) == 0
@@ -362,3 +365,41 @@ class TestStaleness:
         assert main(["finetune", "--config", str(cfg), "--out", str(run), "--lambda", "0"]) == 0
         assert (run / "checkpoints" / "ppo_lambda0_seed5.ckpt").exists()
         assert not (run / "checkpoints" / "ppo_lambda20_seed5.ckpt").exists()
+
+    def test_drifted_predictor_makes_calibration_stale(self, trained, capsys):
+        tmp_path, cfg, run = trained
+        for stage in ("finetune", "calibrate"):
+            assert main([stage, "--config", str(cfg), "--out", str(run)]) == 0
+        capsys.readouterr()
+        drifted = _write_cfg(tmp_path / "drifted.yaml", **STALENESS,
+                             predictor={"horizon_s": 10, "delta": 0.2})
+        assert main(["evaluate", "--config", str(drifted), "--out", str(run),
+                     "--methods", "full"]) == 2
+        err = capsys.readouterr().err
+        assert "calibration.json is stale" in err and "config fingerprint" in err
+
+        assert main(["evaluate", "--config", str(drifted), "--out", str(run),
+                     "--methods", "full", "--allow-stale"]) == 0
+        assert "warning: calibration.json is stale" in capsys.readouterr().err
+
+    def test_drifted_bc_makes_calibrate_refuse_its_frozen_policy(self, trained, capsys):
+        tmp_path, cfg, run = trained
+        drifted = _write_cfg(tmp_path / "drifted.yaml",
+                             **{**STALENESS, "bc": {**STALENESS["bc"], "epochs": 3}})
+        assert main(["calibrate", "--config", str(drifted), "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "bc_seed5.ckpt is stale" in err and "--allow-stale" in err
+        assert not (run / "calibration.json").exists()
+
+    def test_new_trace_set_makes_checkpoint_stale(self, trained, capsys):
+        tmp_path, cfg, run = trained
+        extra = synthesize_trace(SynthConfig(duration_s=180, seed=(41, 0)), trace_id="ext-0")
+        write_trace(extra, tmp_path)
+        assert main(["ingest", "--config", str(cfg), "--out", str(run),
+                     str(tmp_path / "ext-0.csv")]) == 0
+        assert main(["split", "--config", str(cfg), "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--out", str(run),
+                     "--methods", "bc-only"]) == 2
+        err = capsys.readouterr().err
+        assert "bc_seed5.ckpt is stale" in err and "trace set" in err
