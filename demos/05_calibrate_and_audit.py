@@ -9,7 +9,7 @@ lower bound says can actually download before the buffer runs dry.
 Run from the repo root:  python demos/05_calibrate_and_audit.py
 """
 
-from abrlab.auditor import AuditConfig, make_auditor
+from abrlab.auditor import AuditConfig, make_auditor, make_oracle_auditor
 from abrlab.capacity import (LowerBoundPredictor, PointPredictor, PredictorConfig,
                              calibrate_lower_bound, coverage_miss_rate,
                              evaluate_predictor_decisions)
@@ -35,17 +35,23 @@ def main():
     miss, n = coverage_miss_rate(lower, test)
     print(f"held-out miss rate {miss:.3f} over {n} windows\n")
 
-    # decision-level comparison under one frozen policy and auditor
+    # decision-level comparison under one frozen policy and auditor; each
+    # candidate is an auditor factory, and the oracle screens with hindsight
     policy = make_rate_rule_policy()
-    for predictor in (point, lower):
-        res = evaluate_predictor_decisions(predictor, policy, test, spec, w,
-                                           guard_s=0.0, capacity_margin=0.90)
-        print(f"{res.predictor_id:12s} violation rate {res.v_dec:.4f}  "
+    audit = AuditConfig(guard_s=0.0, capacity_margin=0.90)
+    candidates = {
+        "point": lambda trace, a: make_auditor(point, a),
+        "lower-bound": lambda trace, a: make_auditor(lower, a),
+        "oracle": make_oracle_auditor,
+    }
+    for name, auditor_for in candidates.items():
+        res = evaluate_predictor_decisions(name, auditor_for, audit, policy, test, spec, w)
+        print(f"{name:12s} violation rate {res.v_dec:.4f}  "
               f"high-risk overrate {res.overrate_hr:.4f}  "
               f"({res.n_admitted} admitted decisions)")
 
     # watch the auditor work on a single risky session
-    aud = make_auditor(lower, AuditConfig(guard_s=0.0, capacity_margin=0.90))
+    aud = make_auditor(lower, audit)
     log = run_session(test[0], spec, w, policy, auditor=aud)
     changed = [o for o in log.outcomes if o.audited]
     print(f"\nsession on {log.trace_id}: {log.audit_interventions} interventions, "

@@ -10,8 +10,8 @@ safe-capacity forecasting (`capacity`), a runtime action auditor
 
 from .auditor import (AuditConfig, AuditDecision, audit_action, decision_violation,
                       feasible_set, make_auditor, make_oracle_auditor)
-from .capacity import (CalibrationResult, DecisionEvalResult, LowerBoundPredictor,
-                       OraclePredictor, PointPredictor, PredictorConfig, calibrate_lower_bound,
+from .capacity import (PREDICTOR_CANDIDATES, CalibrationResult, DecisionEvalResult,
+                       LowerBoundPredictor, PointPredictor, PredictorConfig, calibrate_lower_bound,
                        calibration_ratios, coverage_miss_rate, evaluate_predictor_decisions,
                        high_risk_overrate, lower_quantile, point_predict, realized_target,
                        violation_rate)
@@ -24,8 +24,7 @@ from .metrics import (RiskReport, audit_rate, build_report, exceed_ratio, mean_m
                       write_report_csv, write_report_json)
 from .net import (Adam, FeatureConfig, NetConfig, PolicyNet, backward, feature_dim,
                   featurize, forward, greedy_action, init_policy_net, load_checkpoint,
-                  make_greedy_policy, make_sampling_policy, sample_action, save_checkpoint,
-                  softmax)
+                  make_greedy_policy, sample_action, save_checkpoint, softmax)
 from .policies import (BolaConfig, MpcConfig, beam_expert_decide, bola_decide,
                        bulk_download_times, make_bola_policy, make_expert_policy,
                        make_rate_rule_policy, make_robust_mpc_policy, rate_rule_decide,

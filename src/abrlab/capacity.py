@@ -16,10 +16,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .auditor import AuditConfig, decision_violation, make_auditor, make_oracle_auditor
+from .auditor import AuditConfig, decision_violation
 from .metrics import RiskReport, build_report
 from .sim import QoEWeights, SessionLog, VideoSpec, run_session
 from .traces import ThroughputTrace
+
+# The predictors `calibrate` can score; "oracle" is the hindsight auditor.
+PREDICTOR_CANDIDATES = ("point", "lower-bound", "oracle")
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,10 @@ class PredictorConfig:
             raise ValueError("horizon_s must be at least 1")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
+        unknown = set(self.candidates) - set(PREDICTOR_CANDIDATES)
+        if unknown:
+            raise ValueError(f"unknown predictor candidates {sorted(unknown)}; "
+                             f"choose from {PREDICTOR_CANDIDATES}")
 
 
 def point_predict(history_bps: np.ndarray, horizon_s: int) -> float:
@@ -67,7 +74,6 @@ class PointPredictor:
 
     def __init__(self, cfg: PredictorConfig = PredictorConfig()):
         self.cfg = cfg
-        self.predictor_id = "point"
 
     def predict(self, history_bps: np.ndarray) -> float:
         return point_predict(history_bps, self.cfg.horizon_s)
@@ -81,20 +87,9 @@ class LowerBoundPredictor:
             raise ValueError("calibrated scale must be positive")
         self.point = point
         self.scale = float(scale)
-        self.predictor_id = "lower-bound"
 
     def predict(self, history_bps: np.ndarray) -> float:
         return self.scale * self.point.predict(history_bps)
-
-
-class OraclePredictor:
-    """Marker for the diagnostic auditor that sees true future capacity."""
-
-    is_oracle = True
-    predictor_id = "oracle"
-
-    def predict(self, history_bps: np.ndarray) -> float:  # pragma: no cover
-        raise NotImplementedError("the oracle binds to a trace inside the session runner")
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,6 @@ def high_risk_overrate(predicted_bps: Sequence[float], realized_bps: Sequence[fl
 
 @dataclass(frozen=True)
 class DecisionEvalResult:
-    predictor_id: str
     v_dec: float
     overrate_hr: float
     n_decisions: int
@@ -181,29 +175,29 @@ class DecisionEvalResult:
 
 
 def evaluate_predictor_decisions(
-    predictor, policy: Callable, traces: Sequence[ThroughputTrace],
-    spec: VideoSpec, w: QoEWeights, guard_s: float = 0.0,
-    capacity_margin: float = 0.90, history_len: int = 8,
+    name: str, auditor_for: Callable, audit: AuditConfig, policy: Callable,
+    traces: Sequence[ThroughputTrace], spec: VideoSpec, w: QoEWeights, history_len: int = 8,
     tail_fraction: float = 0.05, severe_threshold_s: float = 10.0,
 ) -> DecisionEvalResult:
-    """Run audited sessions and score the predictor at decision level.
+    """Run audited sessions and score their auditor at decision level.
 
-    v_dec counts violations only over admitted (executed, non-fallback)
+    Each session is audited by `auditor_for(trace, audit)`: `make_oracle_auditor`
+    as it is, or `lambda tr, a: make_auditor(predictor, a)` for a predictor.
+    The report row is named `name`. v_dec counts violations of the budget
+    `buffer - audit.guard_s` only over admitted (executed, non-fallback)
     decisions; the overprediction rate is computed on the lowest-30% realized
     capacity slice of all forecasted decisions. Chunks decided before any
     history existed carry no forecast and are excluded from both.
     """
     if not traces:
         raise ValueError("no traces to evaluate")
-    oracle = bool(getattr(predictor, "is_oracle", False))
-    cfg = AuditConfig(guard_s=guard_s, capacity_margin=capacity_margin)  # the oracle reads only guard_s
     logs: list[SessionLog] = []
     predicted: list[float] = []
     realized: list[float] = []
     admitted_violations: list[bool] = []
     for trace in traces:
-        aud = make_oracle_auditor(trace, cfg) if oracle else make_auditor(predictor, cfg)
-        log = run_session(trace, spec, w, policy, auditor=aud, history_len=history_len)
+        log = run_session(trace, spec, w, policy, auditor=auditor_for(trace, audit),
+                          history_len=history_len)
         logs.append(log)
         for o in log.outcomes:
             if math.isnan(o.predicted_capacity_bps):
@@ -212,15 +206,13 @@ def evaluate_predictor_decisions(
             realized.append(o.effective_throughput_bps)
             if not o.fallback:
                 admitted_violations.append(
-                    decision_violation(o.size_bytes, o.effective_throughput_bps, o.buffer_before_s, guard_s)
+                    decision_violation(o.size_bytes, o.effective_throughput_bps, o.buffer_before_s, audit.guard_s)
                 )
     v_dec = violation_rate(admitted_violations)
     overrate = high_risk_overrate(predicted, realized) if predicted else 0.0
-    pid = getattr(predictor, "predictor_id", predictor.__class__.__name__)
-    report = build_report(pid, logs, v_dec=v_dec, overrate_hr=overrate,
+    report = build_report(name, logs, v_dec=v_dec, overrate_hr=overrate,
                           tail_fraction=tail_fraction, severe_threshold_s=severe_threshold_s)
     return DecisionEvalResult(
-        predictor_id=pid,
         v_dec=v_dec,
         overrate_hr=overrate,
         n_decisions=len(predicted),

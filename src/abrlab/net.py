@@ -252,11 +252,3 @@ def make_greedy_policy(net: PolicyNet, spec: VideoSpec, fc: FeatureConfig = Feat
         probs, _ = forward(net, featurize(state, spec, fc))
         return greedy_action(probs)
     return decide
-
-
-def make_sampling_policy(net: PolicyNet, spec: VideoSpec, rng: np.random.Generator,
-                         fc: FeatureConfig = FeatureConfig()):
-    def decide(state: PlayerState) -> int:
-        probs, _ = forward(net, featurize(state, spec, fc))
-        return sample_action(probs, rng)
-    return decide

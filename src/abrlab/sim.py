@@ -80,14 +80,10 @@ class VideoSpec:
         if self.initial_buffer_s < 0 or self.initial_buffer_s > self.buffer_max_s:
             raise ValueError("initial_buffer_s must lie in [0, buffer_max_s]")
         jit = np.random.default_rng(self.jitter_seed).uniform(lo, hi, self.num_chunks)
-        object.__setattr__(self, "_jitter", jit)
         nominal = np.asarray(self.ladder.rungs_kbps, dtype=np.float64) * 1000.0 * self.chunk_duration_s / 8.0
         sizes = nominal[None, :] * jit[:, None]
         sizes.setflags(write=False)
         object.__setattr__(self, "sizes", sizes)
-
-    def jitter_multiplier(self, chunk_index: int) -> float:
-        return float(self._jitter[chunk_index])
 
 
 def chunk_size(spec: VideoSpec, chunk_index: int, rung: int) -> float:
@@ -200,7 +196,6 @@ class ChunkOutcome:
 @dataclass
 class SessionLog:
     trace_id: str
-    num_chunks_planned: int
     outcomes: list[ChunkOutcome]
     truncated: bool = False
 
@@ -328,7 +323,6 @@ class SessionEnv:
     def finish(self) -> SessionLog:
         return SessionLog(
             trace_id=self.trace.trace_id,
-            num_chunks_planned=self.spec.num_chunks,
             outcomes=list(self.outcomes),
             truncated=self.truncated,
         )

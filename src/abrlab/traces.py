@@ -57,10 +57,6 @@ class ThroughputTrace:
         """Seconds of link time covered; the last sample holds for one second."""
         return float(self.times_s[-1] - self.times_s[0] + 1.0)
 
-    @property
-    def end_time_s(self) -> float:
-        return float(self.times_s[-1] + 1.0)
-
 
 def _resample_hold(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Previous-value hold onto a 1 s grid anchored at the first timestamp.

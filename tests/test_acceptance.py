@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from abrlab.auditor import AuditConfig, audit_action, decision_violation, feasible_set
-from abrlab.capacity import (LowerBoundPredictor, OraclePredictor, PointPredictor,
+from abrlab.auditor import (AuditConfig, audit_action, decision_violation, feasible_set,
+                            make_auditor, make_oracle_auditor)
+from abrlab.capacity import (LowerBoundPredictor, PointPredictor,
                              PredictorConfig, calibrate_lower_bound, coverage_miss_rate,
                              evaluate_predictor_decisions, high_risk_overrate, lower_quantile)
 from abrlab.cli import main
@@ -258,8 +259,8 @@ def test_criterion_04_oracle_auditor_soundness(trace_pools):
     """With hindsight capacity and unit margin, admitted decisions never violate."""
     t0 = time.perf_counter()
     res = evaluate_predictor_decisions(
-        OraclePredictor(), make_rate_rule_policy(), trace_pools["test"],
-        VideoSpec(), QoEWeights(), guard_s=0.0, capacity_margin=0.90)
+        "oracle", make_oracle_auditor, AuditConfig(guard_s=0.0, capacity_margin=0.90),
+        make_rate_rule_policy(), trace_pools["test"], VideoSpec(), QoEWeights())
     never_up = all(o.rung <= o.raw_rung for log in res.logs for o in log.outcomes)
     n_chunks = sum(len(log.outcomes) for log in res.logs)
     elapsed = time.perf_counter() - t0
@@ -347,8 +348,9 @@ def test_criterion_07_risk_training_reduces_tails(trace_pools, trained_stack):
         rl_pol = make_greedy_policy(trained_stack["nets"][seed]["rl"], spec)
         b = build_report("bc", [run_session(tr, spec, w, bc_pol) for tr in test])
         r = build_report("rl", [run_session(tr, spec, w, rl_pol) for tr in test])
-        f = evaluate_predictor_decisions(trained_stack["lower"], rl_pol, test, spec, w,
-                                         guard_s=0.0, capacity_margin=0.90).report
+        f = evaluate_predictor_decisions(
+            "lower-bound", lambda tr, a: make_auditor(trained_stack["lower"], a),
+            AuditConfig(guard_s=0.0, capacity_margin=0.90), rl_pol, test, spec, w).report
         sev_drop = (b.severe_ratio - r.severe_ratio) / max(b.severe_ratio, 1e-12)
         qoe_loss = (b.qoe_mean - r.qoe_mean) / max(abs(b.qoe_mean), 1e-12)
         w5_drop = (b.rebuf_worst5_s - f.rebuf_worst5_s) / max(b.rebuf_worst5_s, 1e-12)
@@ -374,10 +376,11 @@ def test_criterion_08_lower_bound_beats_point_predictor(trace_pools, trained_sta
     spec, w = trained_stack["spec"], trained_stack["w"]
     policy = make_greedy_policy(trained_stack["nets"][0]["rl"], spec)
     cal = trace_pools["cal"]
-    pt = evaluate_predictor_decisions(trained_stack["point"], policy, cal, spec, w,
-                                      guard_s=0.0, capacity_margin=0.90)
-    lb = evaluate_predictor_decisions(trained_stack["lower"], policy, cal, spec, w,
-                                      guard_s=0.0, capacity_margin=0.90)
+    audit = AuditConfig(guard_s=0.0, capacity_margin=0.90)
+    pt = evaluate_predictor_decisions("point", lambda tr, a: make_auditor(trained_stack["point"], a),
+                                      audit, policy, cal, spec, w)
+    lb = evaluate_predictor_decisions("lower-bound", lambda tr, a: make_auditor(trained_stack["lower"], a),
+                                      audit, policy, cal, spec, w)
     elapsed = time.perf_counter() - t0
     ok = lb.v_dec < pt.v_dec and lb.overrate_hr < pt.overrate_hr
     _verdict(8, "calibrated bound dominates", ok,

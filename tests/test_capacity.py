@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from abrlab.auditor import AuditConfig, make_auditor, make_oracle_auditor
 from abrlab.capacity import (
     CalibrationResult,
     LowerBoundPredictor,
-    OraclePredictor,
     PointPredictor,
     PredictorConfig,
     calibrate_lower_bound,
@@ -159,7 +159,6 @@ class TestLowerBoundPredictor:
         lb = LowerBoundPredictor(point, scale=0.4)
         hist = np.full(20, 50e6)
         assert lb.predict(hist) == pytest.approx(0.4 * point.predict(hist))
-        assert lb.predictor_id == "lower-bound"
 
     def test_non_positive_scale_rejected(self):
         point = PointPredictor(PredictorConfig())
@@ -224,10 +223,12 @@ class TestHighRiskOverrate:
 
 
 class _HugePredictor:
-    predictor_id = "huge"
-
     def predict(self, history_bps):
         return 1e12
+
+
+def _screened_by(predictor):
+    return lambda trace, audit: make_auditor(predictor, audit)
 
 
 class TestDecisionEvaluation:
@@ -237,10 +238,11 @@ class TestDecisionEvaluation:
         spec = VideoSpec(num_chunks=20)
         rng = np.random.default_rng(0)
         res = evaluate_predictor_decisions(
-            OraclePredictor(), lambda s: int(rng.integers(0, 6)), traces, spec, W)
+            "oracle", make_oracle_auditor, AuditConfig(), lambda s: int(rng.integers(0, 6)),
+            traces, spec, W)
         assert res.v_dec == 0.0
         assert res.n_admitted > 0
-        assert res.predictor_id == "oracle"
+        assert res.report.method == "oracle"
         assert res.report.v_dec == 0.0
 
     def test_wild_overprediction_scores_worst_everywhere(self):
@@ -249,7 +251,8 @@ class TestDecisionEvaluation:
         # overpredicted wall to wall
         tr = ThroughputTrace("slow", np.arange(1000.0), np.full(1000, 5e6))
         spec = VideoSpec(num_chunks=8, size_jitter=(1.0, 1.0))
-        res = evaluate_predictor_decisions(_HugePredictor(), lambda s: 5, [tr], spec, W)
+        res = evaluate_predictor_decisions("huge", _screened_by(_HugePredictor()), AuditConfig(),
+                                           lambda s: 5, [tr], spec, W)
         assert res.v_dec == 1.0
         assert res.overrate_hr == 1.0
         assert res.n_decisions == 7  # the first chunk has no forecast yet
@@ -258,11 +261,39 @@ class TestDecisionEvaluation:
         tr = ThroughputTrace("ok", np.arange(600.0), np.full(600, 30e6))
         spec = VideoSpec(num_chunks=12, size_jitter=(1.0, 1.0))
         point = PointPredictor(PredictorConfig(horizon_s=5))
-        res = evaluate_predictor_decisions(point, lambda s: 5, [tr], spec, W,
-                                           guard_s=0.0, capacity_margin=0.9)
+        res = evaluate_predictor_decisions("point", _screened_by(point),
+                                           AuditConfig(guard_s=0.0, capacity_margin=0.9),
+                                           lambda s: 5, [tr], spec, W)
         assert res.v_dec == 0.0
         assert sum(log.audit_interventions for log in res.logs) > 0
 
     def test_no_traces_rejected(self):
         with pytest.raises(ValueError, match="no traces"):
-            evaluate_predictor_decisions(OraclePredictor(), lambda s: 0, [], VideoSpec(), W)
+            evaluate_predictor_decisions("oracle", make_oracle_auditor, AuditConfig(),
+                                         lambda s: 0, [], VideoSpec(), W)
+
+    def test_one_auditor_per_session_from_the_factory(self):
+        traces = [ThroughputTrace(f"flat{i}", np.arange(300.0), np.full(300, 30e6)) for i in range(3)]
+        audit = AuditConfig(guard_s=1.0, capacity_margin=0.8)
+        calls = []
+
+        def auditor_for(trace, cfg):
+            calls.append((trace.trace_id, cfg))
+            return make_auditor(PointPredictor(), cfg)
+
+        res = evaluate_predictor_decisions("point", auditor_for, audit, lambda s: 5, traces,
+                                           VideoSpec(num_chunks=6), W)
+        assert calls == [(tr.trace_id, audit) for tr in traces]
+        assert [log.trace_id for log in res.logs] == ["flat0", "flat1", "flat2"]
+
+    def test_guard_of_the_audit_config_sets_the_violation_budget(self):
+        # a huge forecast admits every top-rung request; whether the admitted
+        # downloads violate depends only on the guard the budget subtracts
+        tr = ThroughputTrace("fast", np.arange(600.0), np.full(600, 200e6))
+        spec = VideoSpec(num_chunks=8, size_jitter=(1.0, 1.0))
+        loose, tight = (evaluate_predictor_decisions(
+            "huge", _screened_by(_HugePredictor()), AuditConfig(guard_s=guard), lambda s: 5,
+            [tr], spec, W) for guard in (0.0, 3.9))
+        assert loose.n_admitted == tight.n_admitted > 0
+        assert loose.v_dec == 0.0
+        assert tight.v_dec > 0.0

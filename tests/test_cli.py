@@ -3,11 +3,13 @@
 import hashlib
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
 import yaml
 
+from abrlab.capacity import PREDICTOR_CANDIDATES
 from abrlab.cli import main
 from abrlab.config import calibration_fingerprint, load_config, traces_fingerprint
 from abrlab.metrics import read_report_csv
@@ -140,7 +142,7 @@ class TestPipelineArtifacts:
 
     def test_session_rows_per_method(self, pipeline):
         split = json.loads((pipeline / "split.json").read_text())
-        header = ",".join(session_summary(SessionLog("t", 1, [])))
+        header = ",".join(session_summary(SessionLog("t", [])))
         for name in ("rate-rule", "bola", "robust-mpc", "bc-only", "bc_rl", "bc_audit", "full"):
             path = pipeline / "reports" / f"sessions_{name}.csv"
             text = path.read_text()
@@ -256,6 +258,7 @@ class TestErrorPaths:
         assert main(["evaluate", "--config", str(cfg), "--out", str(run),
                      "--methods", "rate-rule", "--margin-grid"]) == 2
         assert "audited" in capsys.readouterr().err
+        assert not (run / "reports").exists()  # refused before the first replay
 
     def test_mpc_window_longer_than_history_is_rejected(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "exp.yaml", history_len=4, mpc={"horizon": 3, "history_len": 5})
@@ -297,6 +300,20 @@ class TestCalibrateSettings:
             assert row.n_sessions >= 3  # enough that 0.5 and 0.05 give different k
             assert row.tail_k == math.ceil(0.5 * row.n_sessions)
             assert row.severe_threshold_s == 2.5
+
+
+class TestPredictorCandidates:
+    def test_calibrate_scores_every_candidate_by_its_name(self, pipeline, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline, run)
+        cfg = _write_cfg(tmp_path / "exp.yaml",
+                         predictor={**TINY["predictor"], "candidates": list(PREDICTOR_CANDIDATES)})
+        assert main(["calibrate", "--config", str(cfg), "--out", str(run)]) == 0
+        rows = read_report_csv(run / "reports" / "predictors.csv")
+        assert [r.method for r in rows] == list(PREDICTOR_CANDIDATES)
+        oracle = rows[PREDICTOR_CANDIDATES.index("oracle")]
+        assert oracle.v_dec == 0.0
+        assert "oracle" in capsys.readouterr().out
 
 
 STALENESS = {

@@ -154,12 +154,15 @@ class TestValidation:
             config_from_dict({"audit": {"capacity_margin": 1.5}})
         with pytest.raises(ValueError, match="guard_s"):
             config_from_dict({"audit": {"guard_s": -1.0}})
-        # the margin grid is checked by the audit margin's own rule, and the
-        # method list against ALL_METHODS, before any stage writes a report
+        # the margin grid is checked by the audit margin's own rule, the method
+        # list against ALL_METHODS and the predictor candidates against
+        # PREDICTOR_CANDIDATES, before any stage writes a report
         with pytest.raises(ValueError, match="capacity_margin"):
             config_from_dict({"eval": {"margin_grid": [0.9, 1.5]}})
         with pytest.raises(ValueError, match="teleport"):
             config_from_dict({"eval": {"methods": ["teleport"]}})
+        with pytest.raises(ValueError, match="teleport"):
+            config_from_dict({"predictor": {"candidates": ["teleport"]}})
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="top-level"):

@@ -37,7 +37,7 @@ def _log(tid, rebuffer_total=0.0, qoe_total=None, chunks=4, audited=0):
     per_qoe = (qoe_total if qoe_total is not None else 3.0 * chunks) / chunks
     outcomes = [_outcome(i, qoe=per_qoe, rebuffer=per_rebuf, audited=i < audited)
                 for i in range(chunks)]
-    return SessionLog(trace_id=tid, num_chunks_planned=chunks, outcomes=outcomes)
+    return SessionLog(trace_id=tid, outcomes=outcomes)
 
 
 class TestTailMean:

@@ -22,7 +22,6 @@ from abrlab.net import (
     init_policy_net,
     load_checkpoint,
     make_greedy_policy,
-    make_sampling_policy,
     sample_action,
     save_checkpoint,
     softmax,
@@ -185,8 +184,8 @@ class TestSampling:
         s = _state(spec, buffer_s=30.0, hist=(40e6,))
         probs, _ = forward(net, featurize(s, spec))
         assert make_greedy_policy(net, spec)(s) == int(np.argmax(probs))
-        r1 = make_sampling_policy(net, spec, np.random.default_rng(1))(s)
-        r2 = make_sampling_policy(net, spec, np.random.default_rng(1))(s)
+        r1 = sample_action(probs, np.random.default_rng(1))
+        r2 = sample_action(probs, np.random.default_rng(1))
         assert r1 == r2
 
 

@@ -28,6 +28,12 @@ def _const_trace(bps, n=600, tid="const"):
     return ThroughputTrace(tid, np.arange(n, dtype=float), np.full(n, float(bps)))
 
 
+def _jitter(spec):
+    """Per-chunk size multipliers, drawn here independently of VideoSpec."""
+    lo, hi = spec.size_jitter
+    return np.random.default_rng(spec.jitter_seed).uniform(lo, hi, spec.num_chunks)
+
+
 def _spec(**kw):
     kw.setdefault("size_jitter", (1.0, 1.0))
     return VideoSpec(**kw)
@@ -64,7 +70,7 @@ class TestChunkSize:
             ratio = sizes / sizes[0]
             rates = np.asarray(spec.ladder.rungs_kbps, dtype=float)
             assert np.allclose(ratio, rates / rates[0])
-            m = spec.jitter_multiplier(t)
+            m = _jitter(spec)[t]
             assert 0.9 <= m <= 1.1
             assert np.isclose(sizes[0], 1.5e6 * m)
 
@@ -83,10 +89,11 @@ class TestChunkSize:
         for spec in (VideoSpec(), VideoSpec(num_chunks=5, jitter_seed=3, chunk_duration_s=2.5),
                      VideoSpec(ladder=BitrateLadder((1000, 2500, 7000)), size_jitter=(0.8, 1.3))):
             assert spec.sizes.shape == (spec.num_chunks, spec.ladder.num_rungs)
+            jitter = _jitter(spec)
             for t in range(spec.num_chunks):
                 for a in range(spec.ladder.num_rungs):
                     nominal = spec.ladder.rungs_kbps[a] * 1000.0 * spec.chunk_duration_s / 8.0
-                    assert spec.sizes[t, a] == chunk_size(spec, t, a) == nominal * spec.jitter_multiplier(t)
+                    assert spec.sizes[t, a] == chunk_size(spec, t, a) == nominal * jitter[t]
                 assert np.array_equal(chunk_sizes(spec, t), spec.sizes[t])
             with pytest.raises(ValueError):
                 spec.sizes[0, 0] = 1.0

@@ -121,7 +121,6 @@ class TestTraceValidation:
     def test_duration_counts_the_last_held_second(self):
         tr = ThroughputTrace("x", [0.0, 1.0, 2.0], [1e6, 1e6, 1e6])
         assert tr.duration_s == 3.0
-        assert tr.end_time_s == 3.0
 
 
 class TestRoundTrip:
