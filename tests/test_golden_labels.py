@@ -1,16 +1,21 @@
-"""Golden labels of the two planners on a frozen, seeded corpus of states.
+"""Golden labels of the two planners on frozen, seeded corpora of states.
 
-The expected strings were produced by the planners as they stood before
-their plan enumerators were merged. Any change to the order of the
-floating-point work in a planner can flip an exact tie between plans; this
-test pins every label so such a change cannot pass unnoticed.
+The expected strings of the 240-state corpus were produced by the planners
+as they stood before their plan enumerators were merged; the expert's labels
+on the DAgger-visited corpus are pinned by the sha256 of the string the
+exhaustive enumerator produced. Any change to the order of the
+floating-point work in a planner can flip an exact tie between plans; these
+tests pin every label so such a change cannot pass unnoticed.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from abrlab.policies import MpcConfig, beam_expert_decide, robust_mpc_decide
-from abrlab.sim import PlayerState, QoEWeights, VideoSpec, chunk_sizes
+from abrlab.sim import (PlayerState, QoEWeights, SessionEnv, TraceExhaustedError, VideoSpec,
+                        chunk_sizes, download_chunk)
 from abrlab.traces import SynthConfig, synthesize_trace
 
 N_STATES = 240
@@ -98,3 +103,62 @@ def test_robust_mpc_labels(corpus):
 def test_plain_mpc_labels(corpus):
     got = _labels(lambda s, tr: robust_mpc_decide(s, SPEC, W, MpcConfig(robust=False)), corpus)
     assert got == MPC_PLAIN_LABELS
+
+
+# sha256 of the expert's labels on the DAgger corpus, as the exhaustive
+# ladder^horizon enumerator produced them.
+DAGGER_EXPERT_SHA256 = "d74f835063818f791d3f9db9e48d11cbdc23142e1406ecde08e9fd1b27365bfc"
+DAGGER_EPISODES = 10
+
+
+def _dagger_corpus():
+    """Whole episodes of a seeded uniform-random policy, as DAgger visits
+    states before its learner is any good: [(trace, [state, ...]), ...].
+
+    Odd episodes run on a slower, shorter link, so they stall (buffer back
+    at one chunk) and are cut off when the trace ends, leaving plans that
+    run past the last sample; even ones finish, so their last states have
+    the horizon clipped by the end of the video."""
+    rng = np.random.default_rng(20261)
+    episodes = []
+    for i in range(DAGGER_EPISODES):
+        slow = i % 2 == 1
+        synth = SynthConfig(duration_s=int(rng.integers(150, 260) if slow else rng.integers(200, 260)),
+                            regime_mean_log_mbps=float(np.log(30.0 if slow else 45.0)), seed=(901, i))
+        trace = synthesize_trace(synth, trace_id=f"dagger-{i}")
+        env = SessionEnv(trace, SPEC, W)
+        state, states = env.reset(), []
+        while state is not None:
+            states.append(state)
+            state, _, _ = env.step(int(rng.integers(SPEC.ladder.num_rungs)))
+        episodes.append((trace, states))
+    return episodes
+
+
+@pytest.fixture(scope="module")
+def dagger_corpus():
+    return _dagger_corpus()
+
+
+def _runs_past_trace_end(state, trace) -> bool:
+    """The all-top-rung plan over the clipped horizon outlasts the trace."""
+    h = min(5, state.remaining_chunks)
+    try:
+        download_chunk(trace, state.wall_time_s, float(SPEC.sizes[state.chunk_index : state.chunk_index + h, -1].sum()))
+    except TraceExhaustedError:
+        return True
+    return False
+
+
+def test_dagger_corpus_reaches_stalls_clipped_horizons_and_the_trace_end(dagger_corpus):
+    pairs = [(s, tr) for tr, states in dagger_corpus for s in states]
+    assert len(pairs) >= 350
+    assert sum(s.buffer_s == SPEC.chunk_duration_s for s, _ in pairs) >= 30  # right after a stall
+    assert sum(s.remaining_chunks < 5 for s, _ in pairs) >= 10
+    assert sum(_runs_past_trace_end(s, tr) for s, tr in pairs) >= 30
+
+
+def test_expert_labels_on_dagger_states(dagger_corpus):
+    labels = "".join(str(beam_expert_decide(s, tr, SPEC, W, 5)) for tr, states in dagger_corpus for s in states)
+    assert set(labels) == {str(a) for a in range(SPEC.ladder.num_rungs)}
+    assert hashlib.sha256(labels.encode()).hexdigest() == DAGGER_EXPERT_SHA256
