@@ -63,6 +63,9 @@ class VideoSection:
     initial_prev_rung: int = 0
     initial_buffer_s: float | None = None
 
+    def __post_init__(self):
+        self.video_spec()  # by the spec's own rules
+
     def video_spec(self) -> VideoSpec:
         return VideoSpec(
             num_chunks=self.num_chunks,
@@ -110,6 +113,10 @@ class ExperimentConfig:
     mpc: MpcConfig = field(default_factory=MpcConfig)
     bola: BolaConfig = field(default_factory=BolaConfig)
     eval: EvalSection = field(default_factory=EvalSection)
+
+    def __post_init__(self):
+        if self.history_len < 1:
+            raise ValueError("history_len must be at least 1")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -51,6 +51,14 @@ class QoEWeights:
     rebuffer_penalty: float = 40.0   # quality units per stalled second
     smoothness_penalty: float = 1.0  # quality units per Mbit/s of switch
 
+    def __post_init__(self):
+        # A negative penalty would reward stalls or switches, and the expert's
+        # pruning bound (zero stall is the best case) would no longer hold.
+        for name in ("rebuffer_penalty", "smoothness_penalty"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
 
 @dataclass(frozen=True)
 class VideoSpec:

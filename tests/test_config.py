@@ -163,6 +163,16 @@ class TestValidation:
             config_from_dict({"eval": {"methods": ["teleport"]}})
         with pytest.raises(ValueError, match="teleport"):
             config_from_dict({"predictor": {"candidates": ["teleport"]}})
+        # penalties, video settings and the history length fail at load too,
+        # not at the first stage that builds a spec or a session
+        with pytest.raises(ValueError, match="rebuffer_penalty"):
+            config_from_dict({"qoe": {"rebuffer_penalty": -1}})
+        with pytest.raises(ValueError, match="smoothness_penalty"):
+            config_from_dict({"qoe": {"smoothness_penalty": float("nan")}})
+        with pytest.raises(ValueError, match="size_jitter"):
+            config_from_dict({"video": {"size_jitter_low": 0.0}})
+        with pytest.raises(ValueError, match="history_len"):
+            config_from_dict({"history_len": 0})
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="top-level"):
