@@ -25,7 +25,7 @@ from .metrics import (RiskReport, audit_rate, build_report, exceed_ratio, mean_m
 from .net import (Adam, FeatureConfig, NetConfig, PolicyNet, backward, feature_dim,
                   featurize, forward, greedy_action, init_policy_net, load_checkpoint,
                   make_greedy_policy, sample_action, save_checkpoint, softmax)
-from .policies import (BolaConfig, MpcConfig, beam_expert_decide, bola_decide,
+from .policies import (BolaConfig, MpcConfig, beam_expert_decide, beam_expert_labels, bola_decide,
                        bulk_download_times, make_bola_policy, make_expert_policy,
                        make_rate_rule_policy, make_robust_mpc_policy, rate_rule_decide,
                        robust_mpc_decide, throughput_estimate, trace_cumulative_bytes)

@@ -4,27 +4,31 @@ Each round rolls the current policy (sampling its own actions, so the state
 distribution is the learner's, not the expert's), labels every visited state
 with the future-seeing planner, appends to a never-discarded dataset, and
 fits by cross-entropy for a few epochs. Later rounds therefore cover the
-mistakes earlier policies made.
+mistakes earlier policies made. The rollout never reads a label, so the
+states of an episode are labeled together, in one batched plan search, when
+the episode ends (or when the round's quota cuts it short).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .net import (Adam, FeatureConfig, NetConfig, PolicyNet, backward, feature_dim,
                   featurize, forward, init_policy_net, sample_action)
-from .policies import beam_expert_decide
-from .sim import QoEWeights, SessionEnv, VideoSpec
+# beam_expert_decide, the one-state form of the labeler, stays importable here.
+from .policies import beam_expert_decide, beam_expert_labels  # noqa: F401
+from .sim import PlayerState, QoEWeights, SessionEnv, VideoSpec
 from .traces import ThroughputTrace
 
 PROB_FLOOR = 1e-12
 
-# Labeler: (state, trace) -> rung index. Injectable so degenerate teachers
-# can stand in for the planner.
-ExpertFn = Callable[[object, ThroughputTrace], int]
+# Labeler: (states of one episode in visit order, their trace) -> one rung
+# index per state. Injectable so degenerate teachers can stand in for the
+# planner.
+ExpertFn = Callable[[list[PlayerState], ThroughputTrace], Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,8 @@ def expert_agreement(net: PolicyNet, features: np.ndarray, labels: np.ndarray) -
 
 
 def _default_expert(spec: VideoSpec, w: QoEWeights, horizon: int) -> ExpertFn:
-    def expert(state, trace):
-        return beam_expert_decide(state, trace, spec, w, horizon)
+    def expert(states, trace):
+        return beam_expert_labels(states, trace, spec, w, horizon)
     return expert
 
 
@@ -99,8 +103,9 @@ def _collect_labeled_states(
     cfg: BcConfig, fc: FeatureConfig, rng: np.random.Generator, history_len: int,
     expert_fn: ExpertFn,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Exactly cfg.rollout_steps learner-visited states, expert-labeled; the
-    # last episode is abandoned mid-flight once the quota is reached.
+    # Exactly cfg.rollout_steps learner-visited states, expert-labeled one
+    # episode at a time; the last episode is abandoned mid-flight once the
+    # quota is reached, and its states so far are labeled then.
     feats = np.empty((cfg.rollout_steps, feature_dim(history_len, spec.ladder.num_rungs)))
     labels = np.empty(cfg.rollout_steps, dtype=int)
     collected = 0
@@ -108,12 +113,14 @@ def _collect_labeled_states(
         trace = traces[int(rng.integers(len(traces)))]
         env = SessionEnv(trace, spec, w, history_len=history_len)
         state = env.reset()
+        visited = []
         while not env.done and collected < cfg.rollout_steps:
             feats[collected] = featurize(state, spec, fc)
-            labels[collected] = expert_fn(state, trace)
+            visited.append(state)
             collected += 1
             probs, _ = forward(net, feats[collected - 1])
             state, _, _ = env.step(sample_action(probs, rng))
+        labels[collected - len(visited) : collected] = expert_fn(visited, trace)
     return feats, labels
 
 

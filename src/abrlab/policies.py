@@ -1,16 +1,20 @@
 """Rule-based and planning decision functions.
 
 Every policy here is a pure function of its arguments: same state (plus
-trace/spec for the planners), same rung. The two planners share one exact
-enumerator of all ladder^horizon plans (7776 at the default 6-rung ladder,
-horizon 5), vectorized level by level, and differ only in how they time a
-download.
+trace/spec for the planners), same rung. The two planners score plans with
+one per-chunk QoE and buffer recurrence on arrays (`_plan_step`). Robust MPC
+times every ladder^horizon plan (7776 at the default 6-rung ladder, horizon
+5) with a constant forecast. The clairvoyant expert times downloads against
+the true trace and does not time every plan: it labels a batch of states in
+one exact branch-and-bound search, which returns the labels that full
+enumeration would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,28 +91,16 @@ def throughput_estimate(state: PlayerState, cfg: MpcConfig) -> float:
     return est
 
 
-def _best_first_rung(download_time, state: PlayerState, w: QoEWeights, horizon: int) -> int:
-    """First rung of the best-QoE ladder^horizon plan from `state`. Called once
-    per level h, in order, `download_time(h, rung)` gives the seconds of step h
-    for the partial plans whose last rungs are `rung`."""
-    rates = np.asarray(state.ladder_kbps, dtype=np.float64)
-    num_rungs = rates.size
-    b = np.array([state.buffer_s])
-    q = np.zeros(1)
-    prev = np.array([state.prev_rung], dtype=int)
-    for h in range(horizon):
-        n = b.size
-        b, q, prev = np.repeat(b, num_rungs), np.repeat(q, num_rungs), np.repeat(prev, num_rungs)
-        rung = np.tile(np.arange(num_rungs), n)
-        d = download_time(h, rung)
-        rebuf = np.maximum(d - b, 0.0)
-        q += rates[rung] / 1000.0 - w.rebuffer_penalty * rebuf \
-            - w.smoothness_penalty * np.abs(rates[rung] - rates[prev]) / 1000.0
-        b = np.minimum(state.buffer_max_s, np.maximum(b - d, 0.0) + state.chunk_duration_s)
-        prev = rung
-    # Leaves are in lexicographic plan order (first chunk varies slowest), so
-    # argmax's first-hit tie rule lands on the lowest first rung.
-    return int(np.argmax(q)) // (num_rungs ** (horizon - 1))
+def _plan_step(q, b, prev, rung, d, rates, w: QoEWeights, chunk_duration_s: float, buffer_max_s: float):
+    """One chunk of every partial plan, on arrays: the plans' QoE and buffer
+    after downloading `rung` (after `prev`) in `d` seconds. `rates` is in
+    kbps. Both planners score plans with it, so they score them alike."""
+    rate = rates[rung]
+    rebuf = np.maximum(d - b, 0.0)
+    q = q + (rate / 1000.0 - w.rebuffer_penalty * rebuf
+             - w.smoothness_penalty * np.abs(rate - rates[prev]) / 1000.0)
+    b = np.minimum(buffer_max_s, np.maximum(b - d, 0.0) + chunk_duration_s)
+    return q, b
 
 
 def robust_mpc_decide(state: PlayerState, spec: VideoSpec, w: QoEWeights, cfg: MpcConfig = MpcConfig()) -> int:
@@ -123,7 +115,21 @@ def robust_mpc_decide(state: PlayerState, spec: VideoSpec, w: QoEWeights, cfg: M
     if est <= 0.0:
         return 0
     d_mat = 8.0 * spec.sizes[state.chunk_index : state.chunk_index + horizon] / est
-    return _best_first_rung(lambda h, rung: d_mat[h, rung], state, w, horizon)
+    rates = np.asarray(state.ladder_kbps, dtype=np.float64)
+    num_rungs = rates.size
+    b = np.array([state.buffer_s])
+    q = np.zeros(1)
+    prev = np.array([state.prev_rung], dtype=int)
+    for h in range(horizon):  # every ladder^horizon plan, level by level
+        n = b.size
+        b, q, prev = np.repeat(b, num_rungs), np.repeat(q, num_rungs), np.repeat(prev, num_rungs)
+        rung = np.tile(np.arange(num_rungs), n)
+        q, b = _plan_step(q, b, prev, rung, d_mat[h, rung], rates, w,
+                          state.chunk_duration_s, state.buffer_max_s)
+        prev = rung
+    # Leaves are in lexicographic plan order (first chunk varies slowest), so
+    # argmax's first-hit tie rule lands on the lowest first rung.
+    return int(np.argmax(q)) // (num_rungs ** (horizon - 1))
 
 
 def bulk_download_times(
@@ -158,31 +164,136 @@ def trace_cumulative_bytes(trace: ThroughputTrace) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(trace.throughput_bps / 8.0)])
 
 
+class _Plans(NamedTuple):
+    """Partial plans of the expert's search, one entry per node."""
+
+    buffer: np.ndarray
+    qoe: np.ndarray
+    prev: np.ndarray   # last rung
+    clock: np.ndarray  # wall clock at which the next download starts
+    first: np.ndarray  # first rung
+    sid: np.ndarray    # index of the state the plan starts from
+
+    def take(self, idx) -> _Plans:
+        return _Plans(*(x[idx] for x in self))
+
+
+def _stall_free_qoe(rates: np.ndarray, w: QoEWeights) -> np.ndarray:
+    """qoe[p, a]: the QoE of a chunk of rung a after rung p that does not
+    stall. A stall only subtracts (the penalties are non-negative), so no
+    chunk scores above it."""
+    n = rates.size
+    prev, rung = np.divmod(np.arange(n * n), n)
+    zero = np.zeros(n * n)
+    qoe, _ = _plan_step(zero, zero, prev, rung, zero, rates, w, 0.0, 0.0)
+    return qoe.reshape(n, n)
+
+
+def beam_expert_labels(
+    states: list[PlayerState], trace: ThroughputTrace, spec: VideoSpec, w: QoEWeights, horizon: int = 5
+) -> list[int]:
+    """Clairvoyant labels of states on one trace, from one batched plan search.
+
+    Offline labeling only; it reads throughput the player has not seen yet.
+    Each label is the first rung of the state's best-QoE plan, rolled forward
+    from its wall clock with exact download integration against the true
+    trace; the horizon is clipped to the remaining chunks and ties break
+    toward the lower first rung. The ladder, chunk duration and buffer cap
+    are the spec's.
+
+    The search is an exact branch-and-bound (Land and Doig, 1960). A beam
+    search gives each state an incumbent, the score of one real plan. A
+    partial plan is dropped only when even a stall-free continuation
+    (`_stall_free_qoe`) falls short of it, so the plans dropped hold no
+    best plan, and the labels equal those of scoring all ladder^horizon
+    plans.
+    """
+    rates = np.asarray(spec.ladder.rungs_kbps, dtype=np.float64)
+    num_rungs = rates.size
+    cum = trace_cumulative_bytes(trace)
+    bps, t0 = trace.throughput_bps, float(trace.times_s[0])
+    horizons = np.array([min(horizon, s.remaining_chunks) for s in states], dtype=int)
+    chunk = np.array([s.chunk_index for s in states], dtype=int)
+    roots = _Plans(np.array([s.buffer_s for s in states], dtype=np.float64), np.zeros(len(states)),
+                   np.array([s.prev_rung for s in states], dtype=int),
+                   np.array([s.wall_time_s for s in states], dtype=np.float64),
+                   np.zeros(len(states), dtype=int), np.arange(len(states)))
+    # bound[k, p]: the most QoE that k more chunks can add after rung p.
+    stall_free = _stall_free_qoe(rates, w)
+    bound = np.zeros((int(horizons.max(initial=0)) + 1, num_rungs))
+    for k in range(1, bound.shape[0]):
+        bound[k] = np.max(stall_free + bound[k - 1], axis=1)
+    # A plan is pruned when q + bound[k] < incumbent - slack. Each of its
+    # leaves scores at most q plus the k stall-free chunk QoEs of its rungs,
+    # summed first chunk first; bound[k] sums them last chunk first. In
+    # floating point the two orders differ by at most about
+    # 2(k+1) * 2^-53 * (|q| + k * max|stall_free|), and a plan near the
+    # incumbent has |q| <= |incumbent| + 2k * max|stall_free| + 1. The slack
+    # 1e-9 * (|incumbent| + 1 + (k+1) * max|stall_free|) exceeds that gap
+    # more than 10^5-fold, so a pruned plan cannot even tie the best one.
+    scale = 1.0 + bound.shape[0] * np.abs(stall_free).max()
+
+    def expand(plans: _Plans, depth: int) -> _Plans:
+        """Every child of `plans`: parents in order, each parent's rungs ascending."""
+        parent = np.repeat(np.arange(plans.sid.size), num_rungs)
+        rung = np.tile(np.arange(num_rungs), plans.sid.size)
+        p = plans.take(parent)
+        d = bulk_download_times(cum, bps, t0, p.clock, spec.sizes[chunk[p.sid] + depth, rung])
+        q, b = _plan_step(p.qoe, p.buffer, p.prev, rung, d, rates, w, spec.chunk_duration_s, spec.buffer_max_s)
+        return _Plans(b, q, rung, p.clock + d, rung if depth == 0 else p.first, p.sid)
+
+    labels = np.zeros(len(states), dtype=int)
+    best = np.full(len(states), -np.inf)
+    floor = np.full(len(states), -np.inf)
+    for h in sorted(set(horizons.tolist()) - {0}):
+        group = roots.take(np.flatnonzero(horizons == h))
+        # Incumbents: a beam search as wide as the ladder, ranked by the bound.
+        # Its leaves are scored like the search's, so each is a real plan's.
+        beam = group
+        for depth in range(h):
+            kids = expand(beam, depth)
+            score = (kids.qoe + bound[h - depth - 1][kids.prev]).reshape(group.sid.size, -1)
+            top = np.argsort(-score, axis=1)[:, :num_rungs]
+            beam = kids.take((np.arange(group.sid.size)[:, None] * score.shape[1] + top).ravel())
+        incumbent = beam.qoe.reshape(group.sid.size, -1).max(axis=1)
+        floor[group.sid] = incumbent - 1e-9 * (np.abs(incumbent) + scale)
+        cap = num_rungs ** (h - 1)  # parents expanded at a time
+        pieces = [(group, 0)]
+        while pieces:  # depth first, so survivors stay in lexicographic plan order
+            plans, depth = pieces.pop()
+            if plans.sid.size > cap:
+                pieces.extend((plans.take(slice(lo, lo + cap)), depth)
+                              for lo in reversed(range(0, plans.sid.size, cap)))
+                continue
+            kids = expand(plans, depth)
+            k = h - depth - 1
+            kids = kids.take(kids.qoe + bound[k][kids.prev] >= floor[kids.sid])
+            if not kids.sid.size:  # the whole piece was pruned
+                continue
+            if k > 0:
+                pieces.append((kids, depth + 1))
+                continue
+            # Leaves: each state's best, the lowest first rung on a tie. Pieces
+            # arrive in plan order, so a later leaf that only ties has no
+            # lower first rung.
+            order = np.lexsort((kids.first, -kids.qoe, kids.sid))
+            sid = kids.sid[order]
+            head = order[np.diff(sid, prepend=-1) != 0]
+            s, q = kids.sid[head], kids.qoe[head]
+            better = q > best[s]
+            best[s[better]], labels[s[better]] = q[better], kids.first[head][better]
+    return labels.tolist()
+
+
 def beam_expert_decide(
     state: PlayerState, trace: ThroughputTrace, spec: VideoSpec, w: QoEWeights, horizon: int = 5
 ) -> int:
-    """Clairvoyant planner: exhaustive search against the true future trace.
+    """Clairvoyant label of one state: `beam_expert_labels` of a batch of one.
 
-    Offline labeling only; it reads throughput the player has not seen yet.
-    All ladder^H plans are rolled forward from the current wall-clock time
-    with exact per-plan download integration; ties break toward the lower
-    first rung. The horizon is clipped to the remaining chunks.
+    The first rung of the best-QoE plan against the true future trace, found
+    by exact branch-and-bound, not by timing every ladder^horizon plan.
     """
-    horizon = min(horizon, state.remaining_chunks)
-    sizes = spec.sizes[state.chunk_index : state.chunk_index + horizon]
-    cum = trace_cumulative_bytes(trace)
-    bps = trace.throughput_bps
-    t0 = float(trace.times_s[0])
-    u = np.array([state.wall_time_s])  # wall clock at the start of each partial plan's step
-
-    def download_time(h, rung):
-        nonlocal u
-        u = np.repeat(u, spec.ladder.num_rungs)
-        d = bulk_download_times(cum, bps, t0, u, sizes[h, rung])
-        u = u + d
-        return d
-
-    return _best_first_rung(download_time, state, w, horizon)
+    return beam_expert_labels([state], trace, spec, w, horizon)[0]
 
 
 def make_rate_rule_policy():

@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from abrlab.policies import MpcConfig, beam_expert_decide, robust_mpc_decide
+from abrlab.policies import MpcConfig, beam_expert_decide, beam_expert_labels, robust_mpc_decide
 from abrlab.sim import (PlayerState, QoEWeights, SessionEnv, TraceExhaustedError, VideoSpec,
                         chunk_sizes, download_chunk)
 from abrlab.traces import SynthConfig, synthesize_trace
@@ -162,3 +162,9 @@ def test_expert_labels_on_dagger_states(dagger_corpus):
     labels = "".join(str(beam_expert_decide(s, tr, SPEC, W, 5)) for tr, states in dagger_corpus for s in states)
     assert set(labels) == {str(a) for a in range(SPEC.ladder.num_rungs)}
     assert hashlib.sha256(labels.encode()).hexdigest() == DAGGER_EXPERT_SHA256
+
+
+def test_batched_labels_of_whole_episodes_equal_the_one_state_labels(dagger_corpus):
+    for trace, states in dagger_corpus:
+        assert beam_expert_labels(states, trace, SPEC, W, 5) == [beam_expert_decide(s, trace, SPEC, W, 5)
+                                                                 for s in states]

@@ -121,7 +121,7 @@ class TestDaggerRound:
         sizes = []
         for _ in range(3):
             stats = dagger_round(net, ds, _traces(), spec, W, cfg, fc, rng, opt,
-                                 expert_fn=lambda s, t: 0)
+                                 expert_fn=lambda states, t: [0] * len(states))
             sizes.append(stats["dataset_size"])
         assert sizes == [40, 80, 120]
 
@@ -133,12 +133,38 @@ class TestDaggerRound:
         ds = ImitationDataset()
         stats = dagger_round(net, ds, _traces(), spec, W, cfg, fc,
                              np.random.default_rng(1), Adam(net.size, max_grad_norm=None),
-                             expert_fn=lambda s, t: 1)
+                             expert_fn=lambda states, t: [1] * len(states))
         assert set(stats) == {"dataset_size", "loss", "epoch_losses", "agreement", "clamped_logs"}
         assert len(stats["epoch_losses"]) == 4
         assert stats["loss"] == stats["epoch_losses"][-1]
         assert 0.0 <= stats["agreement"] <= 1.0
         assert json.dumps(stats)  # plain python scalars only
+
+
+    def test_labeler_sees_each_episode_once_in_visit_order(self):
+        # 40 states of 12-chunk episodes: three whole episodes, then the
+        # quota cuts the fourth after 4 states, which are labeled then.
+        spec = VideoSpec(num_chunks=12)
+        cfg = BcConfig(rollout_steps=40, epochs=1, batch_size=16, expert_horizon=2)
+        traces = _traces()
+        net = init_policy_net(NetConfig(feature_dim(8, 6), 6, hidden=(8, 8)), 2)
+        calls = []
+
+        def recording_labeler(states, trace):
+            calls.append((list(states), trace))
+            return [s.chunk_index % 6 for s in states]
+
+        ds = ImitationDataset()
+        dagger_round(net, ds, traces, spec, W, cfg, FeatureConfig(), np.random.default_rng(2),
+                     Adam(net.size, max_grad_norm=None), expert_fn=recording_labeler)
+        assert [len(states) for states, _ in calls] == [12, 12, 12, 4]
+        for states, trace in calls:
+            assert any(trace is t for t in traces)
+            assert [s.chunk_index for s in states] == list(range(len(states)))
+            clocks = [s.wall_time_s for s in states]
+            assert clocks == sorted(clocks) and len(set(clocks)) == len(clocks)
+        _, labels = ds.arrays()
+        assert labels.tolist() == [s.chunk_index % 6 for states, _ in calls for s in states]
 
 
 class TestPretrain:
@@ -171,7 +197,8 @@ class TestPretrain:
         spec = VideoSpec(num_chunks=12)
         cfg = BcConfig(dagger_iterations=4, rollout_steps=50, epochs=30, batch_size=16,
                        learning_rate=1e-2, expert_horizon=1)
-        net, report = pretrain(_traces(), spec, W, cfg, seed=0, expert_fn=lambda s, t: 0)
+        net, report = pretrain(_traces(), spec, W, cfg, seed=0,
+                               expert_fn=lambda states, t: [0] * len(states))
         assert report[-1]["loss"] < 0.05
         assert report[-1]["agreement"] >= 0.99
 

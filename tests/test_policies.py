@@ -221,6 +221,17 @@ class TestRobustMpc:
             if per_first[best] > runner_up + 1e-6:
                 assert got == best
 
+    def test_exact_tie_between_first_rungs_goes_to_the_lowest(self):
+        # On the last chunk with no stall possible, rung a >= prev scores
+        # rate(a) - (rate(a) - rate(prev)) = rate(prev) exactly at a switch
+        # penalty of 1 per Mbit/s: rungs 2..5 tie, and the label is 2.
+        trace = ThroughputTrace("fast", np.arange(600.0), np.full(600, 200e6))
+        spec = _flat_spec()
+        s = _state(spec, buffer_s=60.0, prev=2, chunk_index=spec.num_chunks - 1, wall=10.0)
+        _, per_first = _oracle_expert_first_rung(s, trace, spec, W, 1)
+        assert per_first[2] == per_first[3] == per_first[4] == per_first[5] > per_first[1]
+        assert beam_expert_decide(s, trace, spec, W) == 2
+
     def test_horizon_clips_to_remaining(self):
         spec = _flat_spec()
         s = _state(spec, chunk_index=46, hist=(50e6,))
