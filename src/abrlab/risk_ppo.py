@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .imitation import PROB_FLOOR
 from .net import (Adam, FeatureConfig, PolicyNet, backward, feature_dim, featurize, forward,
                   sample_action)
 from .sim import QoEWeights, SessionEnv, VideoSpec
@@ -143,12 +144,13 @@ def clipped_surrogate(ratio: np.ndarray, advantages: np.ndarray, clip_range: flo
 
 
 def ppo_update(net: PolicyNet, batch: RolloutBatch, cfg: PpoConfig, opt: Adam,
-               rng: np.random.Generator) -> dict:
+               rng: np.random.Generator, update: int = 1) -> dict:
     """Several epochs of shuffled minibatch ascent on the clipped objective.
 
     Maximizes surrogate - value_coef * value MSE (no entropy term). Gradients
     flow only through samples where the unclipped branch is active, matching
-    the subgradient of the min.
+    the subgradient of the min. A non-finite loss or gradient raises a
+    RuntimeError naming `update` and the minibatch, before the step.
     """
     if batch.advantages is None or batch.returns is None:
         raise ValueError("run gae_advantages before ppo_update")
@@ -167,7 +169,7 @@ def ppo_update(net: PolicyNet, batch: RolloutBatch, cfg: PpoConfig, opt: Adam,
             old_logp = batch.logprobs[idx]
 
             probs, values, cache = forward(net, feats, with_cache=True)
-            new_logp = np.log(probs[np.arange(m), acts])
+            new_logp = np.log(np.maximum(probs[np.arange(m), acts], PROB_FLOOR))
             ratio = np.exp(new_logp - old_logp)
             clipped = np.clip(ratio, 1.0 - cfg.clip_range, 1.0 + cfg.clip_range)
             unclipped_active = (ratio * adv) <= (clipped * adv)
@@ -176,10 +178,15 @@ def ppo_update(net: PolicyNet, batch: RolloutBatch, cfg: PpoConfig, opt: Adam,
             dlogits = -coeff[:, None] * (np.eye(probs.shape[1])[acts] - probs)
             dvalue = cfg.value_coef * 2.0 * (values - rets) / m
             grads = backward(net, None, dlogits, dvalue, cache=cache)
+            policy_loss = float(-np.mean(clipped_surrogate(ratio, adv, cfg.clip_range)))
+            value_loss = float(np.mean((values - rets) ** 2))
+            if not (math.isfinite(policy_loss + value_loss) and np.all(np.isfinite(grads))):
+                raise RuntimeError(f"PPO update {update}, minibatch {n_minibatches + 1}: "
+                                   "non-finite loss or gradient")
             opt.step(net.params, grads)
 
-            stats["policy_loss"] += float(-np.mean(clipped_surrogate(ratio, adv, cfg.clip_range)))
-            stats["value_loss"] += float(np.mean((values - rets) ** 2))
+            stats["policy_loss"] += policy_loss
+            stats["value_loss"] += value_loss
             stats["clip_fraction"] += float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range))
             stats["approx_kl"] += float(np.mean(old_logp - new_logp))
             n_minibatches += 1
@@ -259,7 +266,7 @@ class RolloutCollector:
                 next_state, outcome, done = self._envs[e].step(a)
                 feats[i] = x
                 actions[i] = a
-                logprobs[i] = float(np.log(probs[a]))
+                logprobs[i] = float(np.log(max(probs[a], PROB_FLOOR)))
                 values[i] = value
                 rewards[i] = 0.0 if outcome is None else outcome.qoe  # None: trace ran out mid-download
                 dones[i] = done
@@ -323,7 +330,7 @@ def finetune(
                 norm[t] = scaler.normalize(shaped.rewards[t], e, bool(shaped.dones[t]))
         shaped = replace(shaped, rewards=norm)
         shaped = gae_advantages(shaped, ppo.gamma, ppo.gae_lambda)
-        stats = ppo_update(net, shaped, ppo, opt, rng)
+        stats = ppo_update(net, shaped, ppo, opt, rng, update)
         ep_rebufs = [ep.rebuffer_s for ep in batch.episodes]
         xi, batch_cvar = empirical_cvar(list(rolling), cvar.alpha) if rolling else (0.0, 0.0)
         curve.append({

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -233,6 +233,10 @@ def session_summary(log: SessionLog) -> dict:
     }
 
 
+# Policies and auditors must be pure functions of their inputs: run_sessions
+# interleaves sessions, so state carried between calls would leak across them.
+# A policy may also carry `batch(states) -> rungs`, which run_sessions calls
+# once per round with every live session's state instead of once per state.
 PolicyFn = Callable[[PlayerState], int]
 # An auditor maps (state, measured past trace samples, requested rung) to a
 # decision object exposing safe_rung / intervened / fallback / capacity fields,
@@ -336,25 +340,32 @@ class SessionEnv:
         )
 
 
-def run_session(
-    trace: ThroughputTrace,
-    spec: VideoSpec,
-    w: QoEWeights,
-    policy: PolicyFn,
-    auditor: AuditorFn | None = None,
-    history_len: int = 8,
-) -> SessionLog:
-    """Replay one full session of `spec` against `trace` under `policy`.
+def run_sessions(traces: Sequence[ThroughputTrace], spec: VideoSpec, w: QoEWeights, policy: PolicyFn,
+                 auditors: Sequence[AuditorFn] | None = None, history_len: int = 8) -> list[SessionLog]:
+    """Replay one session of `spec` per trace under `policy`, all in lockstep.
 
-    When an auditor is supplied, every requested rung passes through it and
-    the (possibly projected) safe rung is executed; the log records both. A
-    trace that ends early truncates the session and flags the log.
+    Each round decides the next chunk of every live session, in one call to
+    `policy.batch` when the policy has it. With auditors (one per trace),
+    each requested rung passes through its session's auditor and the
+    (possibly projected) safe rung is executed; the log records both. A
+    trace that ends early truncates its session, which leaves the live set.
+    Logs come back in trace order.
     """
-    env = SessionEnv(trace, spec, w, history_len=history_len)
-    state = env.reset()
-    while not env.done:
-        raw = int(policy(state))
-        decision = auditor(state, env.measured_history_bps(), raw) if auditor is not None else None
-        rung = int(getattr(decision, "safe_rung", raw)) if decision is not None else raw
-        state, _, _ = env.step(rung, audit=decision, raw_rung=raw)
-    return env.finish()
+    envs = [SessionEnv(trace, spec, w, history_len=history_len) for trace in traces]
+    states = [env.reset() for env in envs]
+    decide = getattr(policy, "batch", None) or (lambda batch: [policy(s) for s in batch])
+    live = list(range(len(envs)))
+    while live:
+        for i, raw in zip(live, decide([states[i] for i in live])):
+            raw, env = int(raw), envs[i]
+            decision = auditors[i](states[i], env.measured_history_bps(), raw) if auditors else None
+            rung = int(getattr(decision, "safe_rung", raw)) if decision is not None else raw
+            states[i], _, _ = env.step(rung, audit=decision, raw_rung=raw)
+        live = [i for i in live if not envs[i].done]
+    return [env.finish() for env in envs]
+
+
+def run_session(trace: ThroughputTrace, spec: VideoSpec, w: QoEWeights, policy: PolicyFn,
+                auditor: AuditorFn | None = None, history_len: int = 8) -> SessionLog:
+    """Replay one full session of `spec` against `trace`: a batch of one."""
+    return run_sessions([trace], spec, w, policy, None if auditor is None else [auditor], history_len)[0]

@@ -11,6 +11,7 @@ from abrlab.capacity import (
     LowerBoundPredictor,
     PointPredictor,
     PredictorConfig,
+    _forecast_windows,
     calibrate_lower_bound,
     calibration_ratios,
     coverage_miss_rate,
@@ -151,6 +152,48 @@ class TestCalibration:
         res = calibrate_lower_bound(PointPredictor(cfg), traces, delta=0.5)
         assert res.delta == 0.5
         assert res.scale >= calibrate_lower_bound(PointPredictor(cfg), traces).scale
+
+
+def _forecast_windows_loop(point, traces):
+    """The window-by-window reference: one forecast and one realized mean per start second."""
+    horizon = point.cfg.horizon_s
+    predicted, realized = [], []
+    for trace in traces:
+        t0 = float(trace.times_s[0])
+        for i in range(1, trace.throughput_bps.size - horizon + 1):
+            predicted.append(point.predict(trace.throughput_bps[:i]))
+            realized.append(realized_target(trace, t0 + i, horizon))
+    return np.asarray(predicted, dtype=np.float64), np.asarray(realized, dtype=np.float64)
+
+
+class TestForecastWindows:
+    HORIZON = 15
+
+    def _traces(self, length):
+        full = synthesize_trace(SynthConfig(duration_s=600, seed=(31, length)), trace_id=f"w{length}")
+        return [ThroughputTrace(f"w{length}", full.times_s[:length] + 100.0, full.throughput_bps[:length])]
+
+    @pytest.mark.parametrize("length", [HORIZON, HORIZON + 1, HORIZON + 2, 600])
+    def test_matrix_windows_equal_the_loop_bit_for_bit(self, length):
+        point = PointPredictor(PredictorConfig(horizon_s=self.HORIZON))
+        traces = self._traces(length)
+        predicted, realized = _forecast_windows(point, traces)
+        ref_predicted, ref_realized = _forecast_windows_loop(point, traces)
+        assert predicted.size == length - self.HORIZON
+        assert np.array_equal(predicted, ref_predicted)
+        assert np.array_equal(realized, ref_realized)
+
+    def test_several_traces_and_a_too_short_one_concatenate_in_order(self):
+        point = PointPredictor(PredictorConfig(horizon_s=self.HORIZON))
+        traces = self._traces(600) + self._traces(self.HORIZON - 3) + self._traces(40)
+        for got, ref in zip(_forecast_windows(point, traces), _forecast_windows_loop(point, traces)):
+            assert np.array_equal(got, ref)
+
+    def test_calibrated_scale_is_bit_identical_to_the_loop(self):
+        point = PointPredictor(PredictorConfig(horizon_s=self.HORIZON))
+        traces = [synthesize_trace(SynthConfig(duration_s=600, seed=(32, i))) for i in range(4)]
+        predicted, realized = _forecast_windows_loop(point, traces)
+        assert calibrate_lower_bound(point, traces).scale == lower_quantile(realized / predicted, 0.10)
 
 
 class TestLowerBoundPredictor:

@@ -1,19 +1,23 @@
 """End-to-end pipeline runs through the command-line entry point at a compact scale."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+import abrlab.capacity
+import abrlab.cli
 from abrlab.capacity import PREDICTOR_CANDIDATES
 from abrlab.cli import main
 from abrlab.config import calibration_fingerprint, load_config, traces_fingerprint
 from abrlab.metrics import read_report_csv
-from abrlab.net import load_checkpoint
+from abrlab.net import load_checkpoint, save_checkpoint
 from abrlab.sim import SessionLog, session_summary
 from abrlab.traces import synthesize_trace, write_trace
 from abrlab.traces import SynthConfig
@@ -168,6 +172,43 @@ class TestPipelineArtifacts:
                 assert r.audit_rate == 0.0
             else:
                 assert r.v_dec is not None
+
+    def test_margin_grid_reuses_method_table_runs_that_equal_replayed_ones(self, pipeline, tmp_path,
+                                                                          monkeypatch):
+        # With the full method table, bc-only and bc+rl are the no-audit rows
+        # and each audited method's own row is its grid row at the configured
+        # margin 0.9. Without bc-only and bc+rl, at another configured margin,
+        # all eight grid rows are replayed instead; the bytes must not differ.
+        replays = []
+
+        def counted(replay):
+            def run_sessions(*args, **kwargs):
+                replays.append(1)
+                return replay(*args, **kwargs)
+            return run_sessions
+
+        for module in (abrlab.cli, abrlab.capacity):
+            monkeypatch.setattr(module, "run_sessions", counted(module.run_sessions))
+        # At this scale fine-tuning barely moves the cloned net; a random fine-tuned
+        # net makes the bc and ppo rows differ, so a swapped twin would show.
+        ppo = next((pipeline / "checkpoints").glob("ppo_*.ckpt"))
+        net, meta = load_checkpoint(ppo)
+        net.params[:] = np.random.default_rng(0).normal(0.0, 0.5, net.size)
+        grids = []
+        for argv, n_replays in ((["--margin-grid"], 7 + 8 - 4),
+                                (["--methods", "bc+audit,full", "--margin", "0.85", "--margin-grid"], 2 + 8)):
+            run = tmp_path / str(n_replays)
+            shutil.copytree(pipeline, run)
+            save_checkpoint(run / "checkpoints" / ppo.name, net, meta)
+            replays.clear()
+            assert main(["evaluate", "--config", str(pipeline.parent / "exp.yaml"), "--out", str(run),
+                         *argv]) == 0
+            assert len(replays) == n_replays
+            grids.append((run / "reports" / "margin_grid.csv").read_bytes())
+        assert grids[0] == grids[1]
+        rows = {r.method: dataclasses.replace(r, method="") for r in
+                read_report_csv(tmp_path / str(7 + 8 - 4) / "reports" / "margin_grid.csv")}
+        assert rows["bc+audit@no-audit"] != rows["full@no-audit"]
 
     def test_report_command_prints_both_tables(self, pipeline, capsys):
         assert main(["report", "--out", str(pipeline)]) == 0

@@ -288,6 +288,31 @@ class TestPpoUpdate:
         assert float(np.mean((v_after - batch.returns) ** 2)) < mse_before
 
 
+    def test_non_finite_advantage_raises_before_the_step(self):
+        net = init_policy_net(self.CFG, 4)
+        batch = self._consistent_batch(net)
+        batch.advantages = np.ones(batch.size)
+        batch.advantages[5] = np.inf
+        batch.returns = batch.values.copy()
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match="PPO update 3, minibatch"):
+            ppo_update(net, batch, PpoConfig(epochs=2, minibatch_size=8), Adam(net.size),
+                       np.random.default_rng(4), update=3)
+        assert np.all(np.isfinite(net.params))
+
+    def test_vanishing_action_probability_is_floored(self):
+        net = init_policy_net(self.CFG, 5)
+        net["bp"][:] = [0.0, 800.0, 0.0, 0.0]  # action 0 has probability exp(-800) == 0.0
+        batch = self._consistent_batch(net, n=16)
+        batch.actions[:] = 0
+        batch.logprobs[:] = np.log(1e-12)
+        batch.advantages = np.ones(batch.size)
+        batch.returns = batch.values.copy()
+        stats = ppo_update(net, batch, PpoConfig(epochs=1, minibatch_size=8), Adam(net.size),
+                           np.random.default_rng(5))
+        assert all(math.isfinite(v) for v in stats.values())
+        assert np.all(np.isfinite(net.params))
+
+
 class TestRunningReturnStd:
     def test_output_is_clipped(self):
         scaler = _RunningReturnStd(gamma=0.99, n_envs=1, clip=10.0)

@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from abrlab.net import NetConfig, feature_dim, init_policy_net, make_greedy_policy
 from abrlab.policies import MpcConfig, beam_expert_decide, beam_expert_labels, robust_mpc_decide
 from abrlab.sim import (PlayerState, QoEWeights, SessionEnv, TraceExhaustedError, VideoSpec,
                         chunk_sizes, download_chunk)
@@ -103,6 +104,16 @@ def test_robust_mpc_labels(corpus):
 def test_plain_mpc_labels(corpus):
     got = _labels(lambda s, tr: robust_mpc_decide(s, SPEC, W, MpcConfig(robust=False)), corpus)
     assert got == MPC_PLAIN_LABELS
+
+
+def test_greedy_batch_decisions_equal_the_one_state_decisions(corpus):
+    net = init_policy_net(NetConfig(feature_dim(HIST_LEN, SPEC.ladder.num_rungs), SPEC.ladder.num_rungs), 0)
+    net.params[:] = np.random.default_rng(11).normal(0.0, 0.5, net.size)
+    policy = make_greedy_policy(net, SPEC)
+    states = [state for state, _ in corpus]
+    one_at_a_time = [policy(state) for state in states]
+    assert list(policy.batch(states)) == one_at_a_time
+    assert len(set(one_at_a_time)) >= 4
 
 
 # sha256 of the expert's labels on the DAgger corpus, as the exhaustive

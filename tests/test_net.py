@@ -188,6 +188,14 @@ class TestSampling:
         r2 = sample_action(probs, np.random.default_rng(1))
         assert r1 == r2
 
+    def test_greedy_batch_breaks_ties_toward_the_lower_rung(self):
+        spec = VideoSpec(size_jitter=(1.0, 1.0))
+        net = PolicyNet(NetConfig(input_dim=17, num_actions=6))  # all zeros: uniform probabilities
+        net["bp"][:] = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+        states = [_state(spec, buffer_s=b, hist=(40e6,)) for b in (5.0, 30.0)]
+        policy = make_greedy_policy(net, spec)
+        assert list(policy.batch(states)) == [policy(s) for s in states] == [1, 1]
+
 
 def _fd_gradient(loss_fn, params, eps=1e-6):
     grad = np.zeros_like(params)

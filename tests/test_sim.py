@@ -1,10 +1,15 @@
 """Chunk simulator: sizes, downloads, buffer dynamics, session replay."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from abrlab.auditor import AuditConfig, make_auditor, make_oracle_auditor
+from abrlab.capacity import LowerBoundPredictor, PointPredictor, PredictorConfig
+from abrlab.net import NetConfig, feature_dim, init_policy_net, make_greedy_policy
+from abrlab.policies import make_bola_policy, make_rate_rule_policy, make_robust_mpc_policy
 from abrlab.sim import (
     BitrateLadder,
     QoEWeights,
@@ -19,6 +24,7 @@ from abrlab.sim import (
     nominal_top_rung_bytes,
     rebuffer_time,
     run_session,
+    run_sessions,
     session_summary,
 )
 from abrlab.traces import SynthConfig, ThroughputTrace, synthesize_trace
@@ -328,6 +334,91 @@ class TestRunSession:
             if lo.truncated or hi.truncated:
                 continue
             assert lo.session_rebuffer_s <= hi.session_rebuffer_s + 1e-9
+
+
+def _replay_one(trace, spec, w, policy, auditor=None):
+    """One session, one state at a time: the reference for lockstep replay."""
+    env = SessionEnv(trace, spec, w)
+    state = env.reset()
+    while not env.done:
+        raw = int(policy(state))
+        decision = auditor(state, env.measured_history_bps(), raw) if auditor is not None else None
+        rung = int(decision.safe_rung) if decision is not None else raw
+        state, _, _ = env.step(rung, audit=decision, raw_rung=raw)
+    return env.finish()
+
+
+def _random_greedy_policy(spec, seed=4):
+    net = init_policy_net(NetConfig(feature_dim(8, spec.ladder.num_rungs), spec.ladder.num_rungs), seed)
+    net.params[:] = np.random.default_rng(seed).normal(0.0, 0.5, net.size)
+    return make_greedy_policy(net, spec)
+
+
+_POINT = PointPredictor(PredictorConfig())
+_AUDITORS = {
+    "unaudited": None,
+    "point": lambda trace: make_auditor(_POINT, AuditConfig()),
+    "lower-bound": lambda trace: make_auditor(LowerBoundPredictor(_POINT, 0.5), AuditConfig()),
+    "oracle": make_oracle_auditor,
+}
+
+
+class TestRunSessions:
+    SPEC = VideoSpec(num_chunks=20)
+    # The short trace ends after a few rounds while the others play on.
+    TRACES = [synthesize_trace(SynthConfig(duration_s=300, seed=(77, i)), trace_id=f"lock-{i}")
+              for i in range(3)]
+    TRACES.insert(1, _const_trace(20e6, n=12, tid="short"))
+
+    @pytest.fixture(scope="class", params=["rate-rule", "bola", "robust-mpc", "greedy-net"])
+    def policy(self, request):
+        return {"rate-rule": make_rate_rule_policy, "bola": make_bola_policy,
+                "robust-mpc": lambda: make_robust_mpc_policy(self.SPEC, QoEWeights()),
+                "greedy-net": lambda: _random_greedy_policy(self.SPEC)}[request.param]()
+
+    @pytest.mark.parametrize("audit", list(_AUDITORS))
+    def test_lockstep_logs_equal_one_session_at_a_time(self, policy, audit):
+        w, make = QoEWeights(), _AUDITORS[audit]
+        auditors = None if make is None else [make(tr) for tr in self.TRACES]
+        logs = run_sessions(self.TRACES, self.SPEC, w, policy, auditors)
+        assert [log.trace_id for log in logs] == [tr.trace_id for tr in self.TRACES]
+        assert [log.truncated for log in logs] == [False, True, False, False]
+        assert len(logs[1].outcomes) < self.SPEC.num_chunks
+        for trace, log in zip(self.TRACES, logs):
+            auditor = None if make is None else make(trace)
+            one = run_session(trace, self.SPEC, w, policy, auditor)
+            ref = _replay_one(trace, self.SPEC, w, policy, auditor)
+            # assert_equal compares field by field and takes NaN as equal to NaN
+            np.testing.assert_equal(dataclasses.asdict(log), dataclasses.asdict(one))
+            np.testing.assert_equal(dataclasses.asdict(log), dataclasses.asdict(ref))
+        screened = [not math.isnan(o.predicted_capacity_bps) for log in logs for o in log.outcomes]
+        assert any(screened) == (audit != "unaudited")
+
+    def test_greedy_net_visits_several_rungs(self):
+        logs = run_sessions(self.TRACES, self.SPEC, QoEWeights(), _random_greedy_policy(self.SPEC))
+        assert len({o.rung for log in logs for o in log.outcomes}) >= 3
+
+    def test_no_traces_no_logs(self):
+        assert run_sessions([], self.SPEC, QoEWeights(), lambda s: 0) == []
+
+    def test_batch_is_called_once_per_round_with_the_live_states(self):
+        calls = []
+
+        def policy(state):
+            raise AssertionError("the batch form should be used")
+
+        def batch(states):
+            calls.append([s.chunk_index for s in states])
+            return [0] * len(states)
+
+        policy.batch = batch
+        spec = _spec(num_chunks=6)
+        traces = [_const_trace(20e6), _const_trace(20e6, n=2, tid="short"), _const_trace(20e6)]
+        logs = run_sessions(traces, spec, QoEWeights(), policy)
+        assert [log.truncated for log in logs] == [False, True, False]
+        # 1.5e6-byte chunks at 2.5e6 bytes/s: the 2-s trace holds 3 of them,
+        # and the fourth request truncates it
+        assert calls == [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3], [4, 4], [5, 5]]
 
 
 class TestSessionEnv:
