@@ -11,6 +11,7 @@ from abrlab.risk_ppo import (
     EpisodeInfo,
     PpoConfig,
     RolloutBatch,
+    RolloutCollector,
     _RunningReturnStd,
     clipped_surrogate,
     empirical_cvar,
@@ -397,3 +398,80 @@ class TestFinetune:
                             _small_ppo(total_steps=64), CvarConfig(), seed=9)
         assert tuned is base
         assert not np.array_equal(before, tuned.params)
+
+
+def _reference_collect(net, traces, spec, w, ppo, fc, rng, history_len, streams):
+    """The per-stream round-robin rollout loop, written out step by step.
+
+    `streams` holds each env stream's (env, state) across calls, None until
+    the stream first steps and after each episode ends, so that a new trace
+    is drawn only when its stream next needs a step.
+    """
+    from abrlab.imitation import PROB_FLOOR
+    from abrlab.net import featurize, sample_action
+    from abrlab.sim import SessionEnv
+
+    feats, actions, logprobs, rewards, values, dones = [], [], [], [], [], []
+    slices, bootstraps, episodes = [], np.zeros(ppo.n_envs), []
+    for e in range(ppo.n_envs):
+        lo = len(actions)
+        for _ in range(ppo.n_steps):
+            if streams[e] is None:
+                env = SessionEnv(traces[int(rng.integers(len(traces)))], spec, w, history_len=history_len)
+                streams[e] = (env, env.reset())
+            env, state = streams[e]
+            x = featurize(state, spec, fc)
+            probs, value = forward(net, x)
+            a = sample_action(probs, rng)
+            next_state, outcome, done = env.step(a)
+            feats.append(x)
+            actions.append(a)
+            logprobs.append(float(np.log(max(probs[a], PROB_FLOOR))))
+            values.append(value)
+            rewards.append(0.0 if outcome is None else outcome.qoe)
+            dones.append(done)
+            if done:
+                log = env.finish()
+                episodes.append(EpisodeInfo(len(actions) - 1, log.session_rebuffer_s, log.session_qoe,
+                                            len(log.outcomes) + int(log.truncated), log.truncated))
+                streams[e] = None
+            else:
+                streams[e] = (env, next_state)
+        if streams[e] is not None:
+            _, bootstraps[e] = forward(net, featurize(streams[e][1], spec, fc))
+        slices.append((lo, len(actions)))
+    return RolloutBatch(np.array(feats), np.array(actions), np.array(logprobs), np.array(rewards),
+                        np.array(values), np.array(dones), slices, bootstraps, episodes)
+
+
+class TestRolloutCollector:
+    def test_matches_the_per_stream_reference_loop_across_batches(self):
+        # 10-chunk sessions and 7 steps per stream: episodes straddle batch
+        # boundaries. The 24-s trace runs out mid-session, so some episodes end
+        # truncated. Between batches the generator is drawn from and the net
+        # moves, as an update would do; both sides see the same.
+        spec = VideoSpec(num_chunks=10)
+        traces = _train_traces() + [synthesize_trace(SynthConfig(duration_s=24, seed=950), "short")]
+        ppo = PpoConfig(n_steps=7, n_envs=3)
+        fc = FeatureConfig()
+        net = init_policy_net(NetConfig(17, 6, hidden=(16, 16)), 4)
+        ref_net = net.copy()
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        collector = RolloutCollector(net, traces, spec, QoEWeights(), ppo, fc, rng)
+        streams = [None] * ppo.n_envs
+        truncated = 0
+        for k in range(5):
+            got = collector.collect()
+            want = _reference_collect(ref_net, traces, spec, QoEWeights(), ppo, fc, ref_rng, 8, streams)
+            for name in ("features", "actions", "logprobs", "rewards", "values", "dones",
+                         "bootstrap_values"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (k, name)
+            assert got.env_slices == want.env_slices
+            assert got.episodes == want.episodes
+            truncated += sum(ep.truncated for ep in got.episodes)
+            nudge = rng.normal(0.0, 0.3, net.size)
+            ref_rng.normal(0.0, 0.3, net.size)
+            net.params += nudge
+            ref_net.params += nudge
+        assert truncated > 0
+        assert rng.random() == ref_rng.random()

@@ -9,6 +9,7 @@ import pytest
 from abrlab.imitation import (
     BcConfig,
     ImitationDataset,
+    _collect_labeled_states,
     dagger_round,
     expert_agreement,
     imitation_loss,
@@ -20,10 +21,13 @@ from abrlab.net import (
     NetConfig,
     PolicyNet,
     feature_dim,
+    featurize,
+    forward,
     init_policy_net,
     make_greedy_policy,
+    sample_action,
 )
-from abrlab.sim import QoEWeights, VideoSpec, run_session
+from abrlab.sim import QoEWeights, SessionEnv, VideoSpec, run_session
 from abrlab.traces import SynthConfig, synthesize_trace
 
 W = QoEWeights()
@@ -165,6 +169,47 @@ class TestDaggerRound:
             assert clocks == sorted(clocks) and len(set(clocks)) == len(clocks)
         _, labels = ds.arrays()
         assert labels.tolist() == [s.chunk_index % 6 for states, _ in calls for s in states]
+
+
+    def test_collection_matches_the_episode_by_episode_reference_loop(self):
+        # 30 states of 12-chunk episodes cut the third episode after 6 states;
+        # three rounds in a row share the generator, as pretrain's rounds do.
+        spec = VideoSpec(num_chunks=12)
+        cfg = BcConfig(rollout_steps=30)
+        fc = FeatureConfig()
+        traces = _traces(3)
+        net = init_policy_net(NetConfig(feature_dim(8, 6), 6, hidden=(8, 8)), 3)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        calls, ref_calls = [], []
+
+        def labeler(seen):
+            def label(states, trace):
+                seen.append(([(s.chunk_index, s.wall_time_s, s.buffer_s) for s in states], trace.trace_id))
+                return [(s.prev_rung + s.chunk_index) % 6 for s in states]
+            return label
+
+        for _ in range(3):
+            feats, labels = _collect_labeled_states(net, traces, spec, W, cfg, fc, rng, 8, labeler(calls))
+            # the reference: draw a trace, then featurize, forward, sample and
+            # step until the episode ends or the quota is met; label the episode
+            ref_feats, ref_labels, visited = [], [], []
+            while len(ref_feats) < cfg.rollout_steps:
+                trace = traces[int(ref_rng.integers(len(traces)))]
+                env = SessionEnv(trace, spec, W, history_len=8)
+                state, visited = env.reset(), []
+                while not env.done and len(ref_feats) < cfg.rollout_steps:
+                    ref_feats.append(featurize(state, spec, fc))
+                    visited.append(state)
+                    probs, _ = forward(net, ref_feats[-1])
+                    state, _, _ = env.step(sample_action(probs, ref_rng))
+                ref_labels += list(labeler(ref_calls)(visited, trace))
+            assert np.array_equal(feats, np.array(ref_feats))
+            assert labels.tolist() == ref_labels
+            net.params += rng.normal(0.0, 0.3, net.size)
+            ref_rng.normal(0.0, 0.3, net.size)
+        assert calls == ref_calls
+        assert [len(states) for states, _ in calls[:3]] == [12, 12, 6]
+        assert rng.random() == ref_rng.random()
 
 
 class TestPretrain:
