@@ -9,7 +9,6 @@ only ever moves requests down, so it can cap tail risk but never adds it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

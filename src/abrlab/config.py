@@ -18,11 +18,12 @@ import yaml
 from .auditor import AuditConfig
 from .capacity import PredictorConfig
 from .imitation import BcConfig
+from .metrics import tail_mean
 from .net import FeatureConfig
 from .policies import BolaConfig, MpcConfig
 from .risk_ppo import CvarConfig, PpoConfig
 from .sim import BitrateLadder, QoEWeights, VideoSpec
-from .traces import SynthConfig
+from .traces import SynthConfig, split_traces
 
 ALL_METHODS = ("rate-rule", "bola", "robust-mpc", "bc-only", "bc+rl", "bc+audit", "full")
 
@@ -41,6 +42,9 @@ class TraceSection:
     split_train: float = 0.70
     split_calibration: float = 0.15
     split_test: float = 0.15
+
+    def __post_init__(self):
+        split_traces(["a", "b", "c"], self.split_fractions, 0)  # by the split's own rule
 
     def synth_config(self, seed) -> SynthConfig:
         return SynthConfig(seed=seed, **{f.name: getattr(self, f.name)
@@ -94,6 +98,7 @@ class EvalSection:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose from {ALL_METHODS}")
         for margin in self.margin_grid:  # by the auditor's own rule
             AuditConfig(capacity_margin=margin)
+        tail_mean([0.0], self.tail_fraction)  # by the tail statistic's own rule
 
 
 @dataclass(frozen=True)

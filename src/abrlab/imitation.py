@@ -4,23 +4,24 @@ Each round rolls the current policy (sampling its own actions, so the state
 distribution is the learner's, not the expert's), labels every visited state
 with the future-seeing planner, appends to a never-discarded dataset, and
 fits by cross-entropy for a few epochs. Later rounds therefore cover the
-mistakes earlier policies made. The rollout never reads a label, so the
-states of an episode are labeled together, in one batched plan search, when
-the episode ends (or when the round's quota cuts it short).
+mistakes earlier policies made. The rollout (`net.sampled_steps`) never reads
+a label, so an episode's states are labeled together, in one batched plan
+search, when the episode ends (or when the round's quota cuts it short).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .net import (Adam, FeatureConfig, NetConfig, PolicyNet, backward, feature_dim,
-                  featurize, forward, init_policy_net, sample_action)
+from .net import (Adam, FeatureConfig, NetConfig, PolicyNet, backward, feature_dim, forward,
+                  init_policy_net, sampled_steps)
 # beam_expert_decide, the one-state form of the labeler, stays importable here.
 from .policies import beam_expert_decide, beam_expert_labels  # noqa: F401
-from .sim import PlayerState, QoEWeights, SessionEnv, VideoSpec
+from .sim import PlayerState, QoEWeights, VideoSpec
 from .traces import ThroughputTrace
 
 PROB_FLOOR = 1e-12
@@ -39,6 +40,11 @@ class BcConfig:
     batch_size: int = 128
     learning_rate: float = 1e-3
     expert_horizon: int = 5
+
+    def __post_init__(self):
+        for name in ("rollout_steps", "batch_size"):  # 0 states: a NaN loss; 0 rows: no step
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -62,6 +68,13 @@ class ImitationDataset:
         return np.vstack(self.feature_blocks), np.concatenate(self.label_blocks)
 
 
+def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """(mean cross-entropy against `labels`, mask of the rows clamped at PROB_FLOOR)."""
+    picked = probs[np.arange(labels.size), labels]
+    clamped = picked < PROB_FLOOR
+    return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR)))), clamped
+
+
 def imitation_loss(net: PolicyNet, features: np.ndarray, labels: np.ndarray,
                    clamp_counter: dict | None = None) -> tuple[float, np.ndarray]:
     """Mean cross-entropy against expert rungs, with its parameter gradient.
@@ -73,11 +86,9 @@ def imitation_loss(net: PolicyNet, features: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=int)
     probs, _, cache = forward(net, np.atleast_2d(features), with_cache=True)
     n = labels.size
-    picked = probs[np.arange(n), labels]
-    clamped = picked < PROB_FLOOR
+    loss, clamped = _cross_entropy(probs, labels)
     if clamp_counter is not None and np.any(clamped):
         clamp_counter["clamped"] = clamp_counter.get("clamped", 0) + int(clamped.sum())
-    loss = float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
     dlogits[clamped] = 0.0
@@ -106,22 +117,16 @@ def _collect_labeled_states(
     # Exactly cfg.rollout_steps learner-visited states, expert-labeled one
     # episode at a time; the last episode is abandoned mid-flight once the
     # quota is reached, and its states so far are labeled then.
-    feats = np.empty((cfg.rollout_steps, feature_dim(history_len, spec.ladder.num_rungs)))
+    feats, visited = [], []
     labels = np.empty(cfg.rollout_steps, dtype=int)
-    collected = 0
-    while collected < cfg.rollout_steps:
-        trace = traces[int(rng.integers(len(traces)))]
-        env = SessionEnv(trace, spec, w, history_len=history_len)
-        state = env.reset()
-        visited = []
-        while not env.done and collected < cfg.rollout_steps:
-            feats[collected] = featurize(state, spec, fc)
-            visited.append(state)
-            collected += 1
-            probs, _ = forward(net, feats[collected - 1])
-            state, _, _ = env.step(sample_action(probs, rng))
-        labels[collected - len(visited) : collected] = expert_fn(visited, trace)
-    return feats, labels
+    for n, step in enumerate(islice(sampled_steps(net, traces, spec, w, fc, rng, history_len),
+                                    cfg.rollout_steps), 1):
+        feats.append(step.features)
+        visited.append(step.state)
+        if step.log is not None or n == cfg.rollout_steps:
+            labels[n - len(visited) : n] = expert_fn(visited, step.trace)
+            visited = []
+    return np.array(feats), labels
 
 
 def dagger_round(
@@ -139,16 +144,20 @@ def dagger_round(
     n = all_labels.size
     clamp_counter: dict = {}
     epoch_losses = []
+
+    def dataset_loss() -> float:  # a forward pass only; no gradient is needed
+        return _cross_entropy(forward(net, all_feats)[0], all_labels)[0]
+
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
             _, grads = imitation_loss(net, all_feats[idx], all_labels[idx], clamp_counter)
             opt.step(net.params, grads)
-        epoch_losses.append(imitation_loss(net, all_feats, all_labels)[0])
+        epoch_losses.append(dataset_loss())
     return {
         "dataset_size": n,
-        "loss": epoch_losses[-1] if epoch_losses else imitation_loss(net, all_feats, all_labels)[0],
+        "loss": epoch_losses[-1] if epoch_losses else dataset_loss(),
         "epoch_losses": epoch_losses,
         "agreement": expert_agreement(net, all_feats, all_labels),
         "clamped_logs": clamp_counter.get("clamped", 0),

@@ -24,7 +24,7 @@ def tail_mean(values: Sequence[float], fraction: float) -> float:
     if v.size == 0:
         raise ValueError("tail_mean of an empty sample")
     if not (0.0 < fraction <= 1.0):
-        raise ValueError("fraction must lie in (0, 1]")
+        raise ValueError("tail fraction must lie in (0, 1]")
     k = int(math.ceil(fraction * v.size))
     return float(np.sort(v)[-k:].mean())
 

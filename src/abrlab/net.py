@@ -4,19 +4,22 @@ Architecture: two tanh hidden layers shared by a softmax action head and a
 scalar value head. Parameters live in one flat float64 vector; layers are
 views into it, which keeps the optimizer and checkpoint format trivial.
 No autodiff anywhere; `backward` is the analytic chain rule and is verified
-against central finite differences in the tests.
+against central finite differences in the tests. `sampled_steps` is the one
+on-policy rollout: DAgger and PPO both draw their sessions from it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .sim import PlayerState, VideoSpec, nominal_top_rung_bytes
+from .sim import (ChunkOutcome, PlayerState, QoEWeights, SessionEnv, SessionLog, VideoSpec,
+                  nominal_top_rung_bytes)
+from .traces import ThroughputTrace
 
 CHECKPOINT_FORMAT = "abrlab-policy"
 CHECKPOINT_VERSION = 1
@@ -169,6 +172,40 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
 def greedy_action(probs: np.ndarray) -> int:
     """Most probable rung; ties resolve to the lower index."""
     return int(np.argmax(probs))
+
+
+class SampledStep(NamedTuple):
+    """One step of a session under a sampling policy."""
+
+    trace: ThroughputTrace
+    state: PlayerState
+    features: np.ndarray          # featurize(state)
+    probs: np.ndarray             # the policy's action probabilities at state
+    value: float
+    action: int
+    next_state: PlayerState | None
+    outcome: ChunkOutcome | None  # None: the trace ran out mid-download
+    log: SessionLog | None        # the session's log at its last step, else None
+
+
+def sampled_steps(net: PolicyNet, traces: Sequence[ThroughputTrace], spec: VideoSpec, w: QoEWeights,
+                  fc: FeatureConfig, rng: np.random.Generator, history_len: int) -> Iterator[SampledStep]:
+    """Endless on-policy steps: draw a trace, then featurize, forward, sample
+    and step until the session ends, then draw the next trace. Lazy: `rng` is
+    drawn from only as steps are pulled (a trace with each session's first
+    step, one uniform per step), and each step reads `net` as it is then."""
+    while True:
+        trace = traces[int(rng.integers(len(traces)))]
+        env = SessionEnv(trace, spec, w, history_len=history_len)
+        state, done = env.reset(), False
+        while not done:
+            x = featurize(state, spec, fc)
+            probs, value = forward(net, x)
+            action = sample_action(probs, rng)
+            next_state, outcome, done = env.step(action)
+            yield SampledStep(trace, state, x, probs, value, action, next_state, outcome,
+                              env.finish() if done else None)
+            state = next_state
 
 
 class Adam:

@@ -6,13 +6,12 @@ one per-chunk QoE and buffer recurrence on arrays (`_plan_step`). Robust MPC
 times every ladder^horizon plan (7776 at the default 6-rung ladder, horizon
 5) with a constant forecast. The clairvoyant expert times downloads against
 the true trace and does not time every plan: it labels a batch of states in
-one exact branch-and-bound search, which returns the labels that full
-enumeration would.
+one exact branch-and-bound search, level by level, which returns the labels
+that full enumeration would.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -206,7 +205,8 @@ def beam_expert_labels(
     partial plan is dropped only when even a stall-free continuation
     (`_stall_free_qoe`) falls short of it, so the plans dropped hold no
     best plan, and the labels equal those of scoring all ladder^horizon
-    plans.
+    plans. The beam and the search are one level-by-level descent; they
+    differ only in which children a level keeps.
     """
     rates = np.asarray(spec.ladder.rungs_kbps, dtype=np.float64)
     num_rungs = rates.size
@@ -242,46 +242,37 @@ def beam_expert_labels(
         q, b = _plan_step(p.qoe, p.buffer, p.prev, rung, d, rates, w, spec.chunk_duration_s, spec.buffer_max_s)
         return _Plans(b, q, rung, p.clock + d, rung if depth == 0 else p.first, p.sid)
 
+    def descend(plans: _Plans, h: int, beam: bool) -> _Plans:
+        """Expand `plans`, one per state, level by level to depth h. A child's
+        score is its QoE plus the bound of its remaining chunks; each level
+        keeps each state's `num_rungs` best-scored children (beam), or every
+        child whose score reaches its state's floor."""
+        n = plans.sid.size
+        for depth in range(h):
+            kids = expand(plans, depth)
+            score = kids.qoe + bound[h - depth - 1][kids.prev]
+            if beam:
+                top = np.argsort(-score.reshape(n, -1), axis=1)[:, :num_rungs]
+                plans = kids.take((np.arange(n)[:, None] * (score.size // n) + top).ravel())
+            else:
+                plans = kids.take(score >= floor[kids.sid])
+        return plans
+
     labels = np.zeros(len(states), dtype=int)
-    best = np.full(len(states), -np.inf)
     floor = np.full(len(states), -np.inf)
     for h in sorted(set(horizons.tolist()) - {0}):
         group = roots.take(np.flatnonzero(horizons == h))
         # Incumbents: a beam search as wide as the ladder, ranked by the bound.
         # Its leaves are scored like the search's, so each is a real plan's.
-        beam = group
-        for depth in range(h):
-            kids = expand(beam, depth)
-            score = (kids.qoe + bound[h - depth - 1][kids.prev]).reshape(group.sid.size, -1)
-            top = np.argsort(-score, axis=1)[:, :num_rungs]
-            beam = kids.take((np.arange(group.sid.size)[:, None] * score.shape[1] + top).ravel())
-        incumbent = beam.qoe.reshape(group.sid.size, -1).max(axis=1)
+        incumbent = descend(group, h, beam=True).qoe.reshape(group.sid.size, -1).max(axis=1)
         floor[group.sid] = incumbent - 1e-9 * (np.abs(incumbent) + scale)
-        cap = num_rungs ** (h - 1)  # parents expanded at a time
-        pieces = [(group, 0)]
-        while pieces:  # depth first, so survivors stay in lexicographic plan order
-            plans, depth = pieces.pop()
-            if plans.sid.size > cap:
-                pieces.extend((plans.take(slice(lo, lo + cap)), depth)
-                              for lo in reversed(range(0, plans.sid.size, cap)))
-                continue
-            kids = expand(plans, depth)
-            k = h - depth - 1
-            kids = kids.take(kids.qoe + bound[k][kids.prev] >= floor[kids.sid])
-            if not kids.sid.size:  # the whole piece was pruned
-                continue
-            if k > 0:
-                pieces.append((kids, depth + 1))
-                continue
-            # Leaves: each state's best, the lowest first rung on a tie. Pieces
-            # arrive in plan order, so a later leaf that only ties has no
-            # lower first rung.
-            order = np.lexsort((kids.first, -kids.qoe, kids.sid))
-            sid = kids.sid[order]
-            head = order[np.diff(sid, prepend=-1) != 0]
-            s, q = kids.sid[head], kids.qoe[head]
-            better = q > best[s]
-            best[s[better]], labels[s[better]] = q[better], kids.first[head][better]
+        # The floors are fixed before the search, so whether a node survives
+        # does not depend on when it is expanded: a whole level at a time.
+        leaves = descend(group, h, beam=False)
+        # Each state's best leaf, the lowest first rung on a tie.
+        order = np.lexsort((leaves.first, -leaves.qoe, leaves.sid))
+        head = order[np.diff(leaves.sid[order], prepend=-1) != 0]
+        labels[leaves.sid[head]] = leaves.first[head]
     return labels.tolist()
 
 

@@ -3,9 +3,9 @@
 Rewards are the per-chunk QoE. At each episode's terminal step a hinge
 penalty proportional to how far the episode's total rebuffering exceeds the
 rolling tail quantile is subtracted, which pushes optimization pressure onto
-the worst episodes instead of the average one. Everything below (advantage
-estimation, the clipped surrogate, reward normalization) is the standard
-recipe, hand-rolled on numpy.
+the worst episodes instead of the average one. Rollouts are `net.sampled_steps`
+streams, as in DAgger; the rest (advantages, the clipped surrogate, reward
+normalization) is the standard recipe, hand-rolled on numpy.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
 from .imitation import PROB_FLOOR
-from .net import (Adam, FeatureConfig, PolicyNet, backward, feature_dim, featurize, forward,
-                  sample_action)
-from .sim import QoEWeights, SessionEnv, VideoSpec
+from .net import Adam, FeatureConfig, PolicyNet, backward, featurize, forward, sampled_steps
+from .sim import QoEWeights, VideoSpec
 from .traces import ThroughputTrace
 
 
@@ -220,77 +220,35 @@ class _RunningReturnStd:
 
 
 class RolloutCollector:
-    """Round-robin driver for several persistent environment streams."""
+    """Round-robin driver for several persistent `sampled_steps` streams: an
+    episode cut by the end of one batch carries on in the next."""
 
     def __init__(self, net: PolicyNet, traces: list[ThroughputTrace], spec: VideoSpec,
                  w: QoEWeights, ppo: PpoConfig, fc: FeatureConfig,
                  rng: np.random.Generator, history_len: int = 8):
-        self.net = net
-        self.traces = traces
-        self.spec = spec
-        self.w = w
-        self.ppo = ppo
-        self.fc = fc
-        self.rng = rng
-        self.history_len = history_len
-        self._envs: list[SessionEnv | None] = [None] * ppo.n_envs
-        self._states = [None] * ppo.n_envs
-
-    def _ensure_env(self, e: int):
-        if self._envs[e] is None:
-            trace = self.traces[int(self.rng.integers(len(self.traces)))]
-            self._envs[e] = SessionEnv(trace, self.spec, self.w, history_len=self.history_len)
-            self._states[e] = self._envs[e].reset()
+        self.net, self.spec, self.fc, self.n_steps = net, spec, fc, ppo.n_steps
+        self._streams = [sampled_steps(net, traces, spec, w, fc, rng, history_len)
+                         for _ in range(ppo.n_envs)]
 
     def collect(self) -> RolloutBatch:
-        ppo = self.ppo
-        n = ppo.n_steps * ppo.n_envs
-        feats = np.empty((n, feature_dim(self.history_len, self.spec.ladder.num_rungs)))
-        actions = np.empty(n, dtype=int)
-        logprobs = np.empty(n)
-        rewards = np.empty(n)
-        values = np.empty(n)
-        dones = np.zeros(n, dtype=bool)
-        env_slices = []
-        bootstraps = np.zeros(ppo.n_envs)
-        episodes: list[EpisodeInfo] = []
-        i = 0
-        for e in range(ppo.n_envs):
-            lo = i
-            for _ in range(ppo.n_steps):
-                self._ensure_env(e)
-                state = self._states[e]
-                x = featurize(state, self.spec, self.fc)
-                probs, value = forward(self.net, x)
-                a = sample_action(probs, self.rng)
-                next_state, outcome, done = self._envs[e].step(a)
-                feats[i] = x
-                actions[i] = a
-                logprobs[i] = float(np.log(max(probs[a], PROB_FLOOR)))
-                values[i] = value
-                rewards[i] = 0.0 if outcome is None else outcome.qoe  # None: trace ran out mid-download
-                dones[i] = done
-                if done:
-                    log = self._envs[e].finish()
-                    episodes.append(EpisodeInfo(
-                        terminal_index=i,
-                        rebuffer_s=log.session_rebuffer_s,
-                        qoe=log.session_qoe,
-                        length=len(log.outcomes) + int(log.truncated),  # a truncating step logs no outcome
-                        truncated=log.truncated,
-                    ))
-                    self._envs[e] = None
-                    self._states[e] = None
-                else:
-                    self._states[e] = next_state
-                i += 1
-            if self._states[e] is not None:
-                _, bootstraps[e] = forward(self.net, featurize(self._states[e], self.spec, self.fc))
-            env_slices.append((lo, i))
+        n_steps = self.n_steps
+        steps = [step for stream in self._streams for step in islice(stream, n_steps)]
+        bootstraps = np.zeros(len(self._streams))
+        for e, last in enumerate(steps[n_steps - 1 :: n_steps]):
+            if last.log is None:  # the stream's episode goes on: value its next state
+                _, bootstraps[e] = forward(self.net, featurize(last.next_state, self.spec, self.fc))
         return RolloutBatch(
-            features=feats, actions=actions, logprobs=logprobs, rewards=rewards,
-            values=values, dones=dones, env_slices=env_slices,
-            bootstrap_values=bootstraps, episodes=episodes,
+            features=np.array([s.features for s in steps]),
+            actions=np.array([s.action for s in steps], dtype=int),
+            logprobs=np.array([np.log(max(s.probs[s.action], PROB_FLOOR)) for s in steps]),
+            rewards=np.array([0.0 if s.outcome is None else s.outcome.qoe for s in steps]),
+            values=np.array([s.value for s in steps]),
+            dones=np.array([s.log is not None for s in steps]),
+            env_slices=[(lo, lo + n_steps) for lo in range(0, len(steps), n_steps)],
+            bootstrap_values=bootstraps,
+            episodes=[EpisodeInfo(i, s.log.session_rebuffer_s, s.log.session_qoe,
+                                  len(s.log.outcomes) + int(s.log.truncated),  # + a truncating step
+                                  s.log.truncated) for i, s in enumerate(steps) if s.log is not None],
         )
 
 

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs through the command-line entry point at a compact scale."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -13,13 +14,15 @@ import yaml
 
 import abrlab.capacity
 import abrlab.cli
-from abrlab.capacity import PREDICTOR_CANDIDATES
+from abrlab.auditor import make_auditor
+from abrlab.capacity import (PREDICTOR_CANDIDATES, LowerBoundPredictor, PointPredictor,
+                             evaluate_predictor_decisions)
 from abrlab.cli import main
 from abrlab.config import calibration_fingerprint, load_config, traces_fingerprint
 from abrlab.metrics import read_report_csv
-from abrlab.net import load_checkpoint, save_checkpoint
-from abrlab.sim import SessionLog, session_summary
-from abrlab.traces import synthesize_trace, write_trace
+from abrlab.net import load_checkpoint, make_greedy_policy, save_checkpoint
+from abrlab.sim import SessionLog, run_sessions, session_summary
+from abrlab.traces import ingest_trace, synthesize_trace, write_trace
 from abrlab.traces import SynthConfig
 
 TINY = {
@@ -209,6 +212,46 @@ class TestPipelineArtifacts:
         rows = {r.method: dataclasses.replace(r, method="") for r in
                 read_report_csv(tmp_path / str(7 + 8 - 4) / "reports" / "margin_grid.csv")}
         assert rows["bc+audit@no-audit"] != rows["full@no-audit"]
+
+    def test_each_method_replays_its_own_checkpoint(self, pipeline, tmp_path):
+        # At this scale fine-tuning barely moves the cloned net, so the ppo
+        # checkpoint is overwritten with a random net: bc-only and bc+audit must
+        # replay the cloned net, bc+rl and full the fine-tuned one, each equal
+        # to a direct replay of that net.
+        run = tmp_path / "run"
+        shutil.copytree(pipeline, run)
+        ppo = next((run / "checkpoints").glob("ppo_*.ckpt"))
+        tuned, meta = load_checkpoint(ppo)
+        tuned.params[:] = np.random.default_rng(1).normal(0.0, 0.5, tuned.size)
+        save_checkpoint(ppo, tuned, meta)
+        assert main(["evaluate", "--config", str(pipeline.parent / "exp.yaml"), "--out", str(run),
+                     "--methods", "bc-only,bc+rl,bc+audit,full"]) == 0
+        cloned, _ = load_checkpoint(run / "checkpoints" / "bc_seed5.ckpt")
+        cfg = load_config(run / "config.yaml")
+        spec = cfg.video.video_spec()
+        traces = [ingest_trace(run / "traces" / f"{tid}.csv")
+                  for tid in json.loads((run / "split.json").read_text())["test"]]
+        lower = LowerBoundPredictor(PointPredictor(cfg.predictor),
+                                    json.loads((run / "calibration.json").read_text())["scale"])
+
+        def replay(net, audited):
+            policy = make_greedy_policy(net, spec, cfg.features)
+            if audited:
+                logs = evaluate_predictor_decisions("", lambda trace, audit: make_auditor(lower, audit),
+                                                    cfg.audit, policy, traces, spec, cfg.qoe,
+                                                    history_len=cfg.history_len).logs
+            else:
+                logs = run_sessions(traces, spec, cfg.qoe, policy, history_len=cfg.history_len)
+            return [[str(v) for v in session_summary(log).values()] for log in logs]
+
+        rows = {}
+        for name, net, audited in (("bc-only", cloned, False), ("bc_rl", tuned, False),
+                                   ("bc_audit", cloned, True), ("full", tuned, True)):
+            with open(run / "reports" / f"sessions_{name}.csv", newline="", encoding="utf-8") as fh:
+                rows[name] = list(csv.reader(fh))[1:]
+            assert rows[name] == replay(net, audited), name
+        assert rows["bc-only"] != rows["bc_rl"]
+        assert rows["bc_audit"] != rows["full"]
 
     def test_report_command_prints_both_tables(self, pipeline, capsys):
         assert main(["report", "--out", str(pipeline)]) == 0

@@ -173,6 +173,16 @@ class TestValidation:
             config_from_dict({"video": {"size_jitter_low": 0.0}})
         with pytest.raises(ValueError, match="history_len"):
             config_from_dict({"history_len": 0})
+        # and so do the BC sizes, the split fractions (by split_traces' rule)
+        # and the tail fraction (by tail_mean's rule)
+        with pytest.raises(ValueError, match="rollout_steps"):
+            config_from_dict({"bc": {"rollout_steps": 0}})
+        with pytest.raises(ValueError, match="batch_size"):
+            config_from_dict({"bc": {"batch_size": 0}})
+        with pytest.raises(ValueError, match="split fractions must sum to 1"):
+            config_from_dict({"traces": {"split_train": 0.5}})
+        with pytest.raises(ValueError, match="tail fraction"):
+            config_from_dict({"eval": {"tail_fraction": 0}})
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="top-level"):
