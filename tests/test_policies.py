@@ -22,7 +22,8 @@ from abrlab.policies import (
     throughput_estimate,
     trace_cumulative_bytes,
 )
-from abrlab.sim import BitrateLadder, PlayerState, QoEWeights, VideoSpec, chunk_size, chunk_sizes, run_session
+from abrlab.sim import (BitrateLadder, PlayerState, QoEWeights, SessionEnv, VideoSpec, chunk_size, chunk_sizes,
+                        run_session)
 from abrlab.traces import SynthConfig, ThroughputTrace, synthesize_trace
 
 W = QoEWeights()
@@ -239,6 +240,120 @@ class TestRobustMpc:
         a = robust_mpc_decide(s, spec, W, MpcConfig(horizon=5, robust=False))
         b = robust_mpc_decide(s, spec, W, MpcConfig(horizon=2, robust=False))
         assert a == b
+
+
+def _reference_robust_discount(hist, history_len):
+    # The discount as first written: a fresh harmonic mean per position.
+    errors = []
+    for j in range(1, hist.size):
+        pred = _harmonic_mean(hist[max(0, j - history_len) : j])
+        errors.append(max(0.0, (pred - hist[j]) / hist[j]))
+    tail = errors[-history_len:]
+    return 1.0 + (max(tail) if tail else 0.0)
+
+
+def _reference_throughput_estimate(state, cfg):
+    hist = state.throughput_history[state.throughput_history > 0.0]
+    if hist.size == 0:
+        return 0.0
+    est = _harmonic_mean(hist[-cfg.history_len :])
+    if cfg.robust:
+        est /= _reference_robust_discount(hist, cfg.history_len)
+    return est
+
+
+def _reference_robust_mpc_decide(state, spec, w, cfg):
+    """Robust MPC as first written: every level repeats the plans' buffer,
+    QoE and last rung, tiles the rung index and gathers per leaf."""
+    horizon = min(cfg.horizon, state.remaining_chunks)
+    est = _reference_throughput_estimate(state, cfg)
+    if est <= 0.0:
+        return 0
+    d_mat = 8.0 * spec.sizes[state.chunk_index : state.chunk_index + horizon] / est
+    rates = np.asarray(state.ladder_kbps, dtype=np.float64)
+    num_rungs = rates.size
+    b = np.array([state.buffer_s])
+    q = np.zeros(1)
+    prev = np.array([state.prev_rung], dtype=int)
+    for h in range(horizon):
+        n = b.size
+        b, q, prev = np.repeat(b, num_rungs), np.repeat(q, num_rungs), np.repeat(prev, num_rungs)
+        rung = np.tile(np.arange(num_rungs), n)
+        d, rate = d_mat[h, rung], rates[rung]
+        rebuf = np.maximum(d - b, 0.0)
+        q = q + (rate / 1000.0 - w.rebuffer_penalty * rebuf
+                 - w.smoothness_penalty * np.abs(rate - rates[prev]) / 1000.0)
+        b = np.minimum(state.buffer_max_s, np.maximum(b - d, 0.0) + state.chunk_duration_s)
+        prev = rung
+    return int(np.argmax(q)) // (num_rungs ** (horizon - 1))
+
+
+def _random_session_states(traces, spec, w, seed):
+    """Every state of one session per trace under uniformly random rungs."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for trace in traces:
+        env = SessionEnv(trace, spec, w)
+        state, done = env.reset(), False
+        while not done:
+            states.append(state)
+            state, _, done = env.step(int(rng.integers(spec.ladder.num_rungs)))
+    return states
+
+
+class TestRobustMpcAgainstReference:
+    """The broadcast plan tree and the sliced discount against the repeat/tile
+    tree and the per-position harmonic means they replace: equal labels and
+    bit-equal estimates, exact ties included."""
+
+    SPEC = VideoSpec()
+    FLAT_SPEC = _flat_spec()
+    W_FLAT = QoEWeights(smoothness_penalty=0.0)
+
+    @pytest.fixture(scope="class")
+    def visited(self):
+        # Links from a few Mbit/s (stalls, low rungs) to a few hundred; the
+        # flat-link sessions score without a switch penalty, so plans that
+        # swap two stall-free chunks tie exactly.
+        traces = [synthesize_trace(SynthConfig(duration_s=600, regime_mean_log_mbps=math.log(m), seed=(61, i)))
+                  for i, m in enumerate((4.0, 10.0, 25.0, 45.0, 80.0, 150.0) * 3)]
+        flat = [ThroughputTrace(f"flat-{i}", np.arange(600.0), np.full(600, m * 1e6))
+                for i, m in enumerate((9.6, 20.0, 48.0, 100.0, 240.0, 400.0))]
+        return ([(s, self.SPEC, W) for s in _random_session_states(traces, self.SPEC, W, 67)]
+                + [(s, self.FLAT_SPEC, self.W_FLAT)
+                   for s in _random_session_states(flat, self.FLAT_SPEC, self.W_FLAT, 71)])
+
+    def test_labels_equal_reference(self, visited):
+        assert len(visited) >= 1000
+        clipped = 0
+        for i, (s, spec, w) in enumerate(visited):
+            horizon = 1 + i % 5
+            clipped += s.remaining_chunks < horizon
+            for robust in (True, False):
+                cfg = MpcConfig(horizon=horizon, robust=robust)
+                assert robust_mpc_decide(s, spec, w, cfg) == _reference_robust_mpc_decide(s, spec, w, cfg), (i, cfg)
+        assert clipped > 0
+
+    @pytest.mark.parametrize("history_len", [1, 2, 3, 5, 8, 10])
+    def test_estimates_bit_equal_reference(self, visited, history_len):
+        for s, _, _ in visited:
+            for robust in (True, False):
+                cfg = MpcConfig(history_len=history_len, robust=robust)
+                assert throughput_estimate(s, cfg) == _reference_throughput_estimate(s, cfg)
+
+    def test_exact_tie_goes_to_the_lowest_first_rung(self):
+        # Two chunks left, a full buffer, no switch penalty, and a link on
+        # which the top chunk takes 50 s: two top chunks stall, but the top
+        # and rung 3 (12.5 s) do not stall in either order, so (3, 5) and
+        # (5, 3) score exactly alike and beat every other plan.
+        spec, w = self.FLAT_SPEC, self.W_FLAT
+        s = _state(spec, buffer_s=60.0, prev=0, hist=(9.6e6,) * 8, chunk_index=spec.num_chunks - 2)
+        for robust in (True, False):
+            cfg = MpcConfig(robust=robust)
+            est = throughput_estimate(s, cfg)
+            _, per_first = _oracle_mpc_first_rung(s, spec, w, est, 2)
+            assert per_first[3] == per_first[5] == max(per_first.values())
+            assert robust_mpc_decide(s, spec, w, cfg) == _reference_robust_mpc_decide(s, spec, w, cfg) == 3
 
 
 def _oracle_stepped_download(trace, start, size):
