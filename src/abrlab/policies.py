@@ -4,7 +4,8 @@ Every policy here is a pure function of its arguments: same state (plus
 trace/spec for the planners), same rung. The two planners score plans with
 one per-chunk QoE and buffer recurrence on arrays (`_plan_step`). Robust MPC
 times every ladder^horizon plan (7776 at the default 6-rung ladder, horizon
-5) with a constant forecast. The clairvoyant expert times downloads against
+5) with a constant forecast, one broadcast array per level whose axis h is
+the rung of chunk h. The clairvoyant expert times downloads against
 the true trace and does not time every plan: it labels a batch of states in
 one exact branch-and-bound search, level by level, which returns the labels
 that full enumeration would.
@@ -69,13 +70,16 @@ def _harmonic_mean(values: np.ndarray) -> float:
 def _robust_discount(hist: np.ndarray, history_len: int) -> float:
     # Reconstruct the trailing one-step-ahead prediction errors: the forecast
     # at position j is the harmonic mean of up to history_len samples before
-    # it; only overestimates (realized under the prediction) count.
-    errors = []
-    for j in range(1, hist.size):
-        pred = _harmonic_mean(hist[max(0, j - history_len) : j])
-        errors.append(max(0.0, (pred - hist[j]) / hist[j]))
-    tail = errors[-history_len:]
-    return 1.0 + (max(tail) if tail else 0.0)
+    # it; only overestimates (realized under the prediction) count, and only
+    # the last history_len positions do. The reciprocals are taken once; each
+    # forecast sums a slice of them, as `_harmonic_mean` would.
+    inv = 1.0 / hist
+    worst = 0.0
+    for j in range(max(1, hist.size - history_len), hist.size):
+        lo = max(0, j - history_len)
+        pred = (j - lo) / float(np.sum(inv[lo:j]))
+        worst = max(worst, (pred - hist[j]) / hist[j])
+    return 1.0 + worst
 
 
 def throughput_estimate(state: PlayerState, cfg: MpcConfig) -> float:
@@ -93,7 +97,8 @@ def throughput_estimate(state: PlayerState, cfg: MpcConfig) -> float:
 def _plan_step(q, b, prev, rung, d, rates, w: QoEWeights, chunk_duration_s: float, buffer_max_s: float):
     """One chunk of every partial plan, on arrays: the plans' QoE and buffer
     after downloading `rung` (after `prev`) in `d` seconds. `rates` is in
-    kbps. Both planners score plans with it, so they score them alike."""
+    kbps; the other arrays broadcast against each other. Both planners score
+    plans with it, so they score them alike."""
     rate = rates[rung]
     rebuf = np.maximum(d - b, 0.0)
     q = q + (rate / 1000.0 - w.rebuffer_penalty * rebuf
@@ -108,6 +113,8 @@ def robust_mpc_decide(state: PlayerState, spec: VideoSpec, w: QoEWeights, cfg: M
     Simulates every plan over the (remaining-clipped) horizon with download
     times 8*size/estimate, scores each by summed per-chunk QoE, and returns
     the first rung of the best plan; ties break toward the lower first rung.
+    The plans are one array per level, built by broadcasting: axis h of `q`
+    and `b` is the rung of chunk h, so no plan's rungs are stored or gathered.
     """
     horizon = min(cfg.horizon, state.remaining_chunks)
     est = throughput_estimate(state, cfg)
@@ -115,20 +122,15 @@ def robust_mpc_decide(state: PlayerState, spec: VideoSpec, w: QoEWeights, cfg: M
         return 0
     d_mat = 8.0 * spec.sizes[state.chunk_index : state.chunk_index + horizon] / est
     rates = np.asarray(state.ladder_kbps, dtype=np.float64)
-    num_rungs = rates.size
-    b = np.array([state.buffer_s])
-    q = np.zeros(1)
-    prev = np.array([state.prev_rung], dtype=int)
+    rung = np.arange(rates.size)
+    q, b, prev = np.zeros(()), np.asarray(state.buffer_s, dtype=np.float64), state.prev_rung
     for h in range(horizon):  # every ladder^horizon plan, level by level
-        n = b.size
-        b, q, prev = np.repeat(b, num_rungs), np.repeat(q, num_rungs), np.repeat(prev, num_rungs)
-        rung = np.tile(np.arange(num_rungs), n)
-        q, b = _plan_step(q, b, prev, rung, d_mat[h, rung], rates, w,
+        q, b = _plan_step(q[..., None], b[..., None], prev, rung, d_mat[h], rates, w,
                           state.chunk_duration_s, state.buffer_max_s)
-        prev = rung
-    # Leaves are in lexicographic plan order (first chunk varies slowest), so
-    # argmax's first-hit tie rule lands on the lowest first rung.
-    return int(np.argmax(q)) // (num_rungs ** (horizon - 1))
+        prev = rung[:, None]  # chunk h's rung, on the second-to-last axis of the next level
+    # Flattened in C order the first chunk varies slowest, so argmax's
+    # first-hit tie rule lands on the lowest first rung.
+    return int(np.argmax(q)) // (rates.size ** (horizon - 1))
 
 
 def bulk_download_times(
