@@ -42,7 +42,8 @@ class BcConfig:
     expert_horizon: int = 5
 
     def __post_init__(self):
-        for name in ("rollout_steps", "batch_size"):  # 0 states: a NaN loss; 0 rows: no step
+        # 0 states: a NaN loss; 0 rows: no step; horizon 0: every label rung 0
+        for name in ("rollout_steps", "batch_size", "expert_horizon"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 

@@ -62,6 +62,12 @@ class MpcConfig:
     history_len: int = 5
     robust: bool = True
 
+    def __post_init__(self):
+        # horizon 0 plans nothing; a 0-sample window has no harmonic mean
+        for name in ("horizon", "history_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 def _harmonic_mean(values: np.ndarray) -> float:
     return values.size / float(np.sum(1.0 / values))

@@ -38,6 +38,13 @@ class PpoConfig:
     max_grad_norm: float = 0.5
     reward_clip: float = 10.0
 
+    def __post_init__(self):
+        # 0 steps or streams: an update collects nothing and finetune never
+        # ends; 0 rows: a minibatch loop that cannot advance
+        for name in ("n_steps", "n_envs", "minibatch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class CvarConfig:

@@ -184,6 +184,27 @@ class TestValidation:
         with pytest.raises(ValueError, match="tail fraction"):
             config_from_dict({"eval": {"tail_fraction": 0}})
 
+    @pytest.mark.parametrize("section, values", [
+        # horizon 0: robust MPC returned the float 0.0 for every state
+        ("mpc", {"horizon": 0}),
+        # a 0-sample window: a bare ZeroDivisionError when robust, else the
+        # whole history averaged
+        ("mpc", {"history_len": 0}),
+        ("mpc", {"history_len": 0, "robust": False}),
+        # horizon 0 labels every state rung 0: a constant teacher
+        ("bc", {"expert_horizon": 0}),
+        # finetune collected nothing per update and never ended, or failed
+        # with a bare ValueError
+        ("ppo", {"n_envs": 0}),
+        ("ppo", {"n_steps": 0}),
+        ("ppo", {"minibatch_size": 0}),
+    ], ids=["mpc.horizon", "mpc.history_len", "mpc.history_len-plain", "bc.expert_horizon",
+            "ppo.n_envs", "ppo.n_steps", "ppo.minibatch_size"])
+    def test_count_below_one_rejected_at_load(self, section, values):
+        key = next(iter(values))
+        with pytest.raises(ValueError, match=rf"{key} must be at least 1"):
+            config_from_dict({section: values})
+
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="top-level"):
             config_from_dict({"sead": 7})
