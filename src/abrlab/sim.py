@@ -327,7 +327,8 @@ class SessionEnv:
         self._now += d
         self._buffer = buf_after
         self._prev = rung
-        self._hist = np.append(self._hist[1:], c)
+        self._hist[:-1] = self._hist[1:]  # in place; `_state` hands out copies
+        self._hist[-1] = c
         self._t += 1
         done = self.done
         return (None if done else self._state()), outcome, done

@@ -452,6 +452,26 @@ class TestSessionEnv:
         with pytest.raises(ValueError):
             SessionEnv(_const_trace(50e6), _spec(), QoEWeights(), history_len=0)
 
+    def test_returned_histories_never_change(self):
+        # The env shifts its history in place; every state it returned keeps
+        # the history it had when returned, and each step shifts in one sample.
+        env = SessionEnv(synthesize_trace(SynthConfig(duration_s=600, seed=83)), _spec(), QoEWeights(),
+                         history_len=4)
+        rng = np.random.default_rng(89)
+        states, snapshots = [env.reset()], []
+        snapshots.append(states[0].throughput_history.copy())
+        done = False
+        while not done:
+            state, outcome, done = env.step(int(rng.integers(6)))
+            if state is not None:
+                assert np.array_equal(state.throughput_history[:-1], snapshots[-1][1:])
+                assert state.throughput_history[-1] == outcome.effective_throughput_bps
+                states.append(state)
+                snapshots.append(state.throughput_history.copy())
+            for s, snap in zip(states, snapshots):
+                assert np.array_equal(s.throughput_history, snap)
+        assert len(states) == 48
+
 
 class TestSerialization:
     def test_session_row(self):
