@@ -10,7 +10,9 @@ on-policy rollout: DAgger and PPO both draw their sessions from it.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
@@ -62,14 +64,21 @@ class NetConfig:
     hidden: tuple[int, int] = (64, 64)
 
 
-def _layout(cfg: NetConfig) -> list[tuple[str, tuple[int, ...]]]:
+@functools.lru_cache(maxsize=None)
+def _layout(cfg: NetConfig) -> tuple[tuple[str, tuple[int, ...], slice], ...]:
+    """(name, shape, slice of the flat vector) of each layer, worked out once
+    per config: `backward` builds a net for its gradient on every call."""
     d, (h1, h2), a = cfg.input_dim, cfg.hidden, cfg.num_actions
-    return [
+    layout, offset = [], 0
+    for name, shape in [
         ("w1", (d, h1)), ("b1", (h1,)),
         ("w2", (h1, h2)), ("b2", (h2,)),
         ("wp", (h2, a)), ("bp", (a,)),
         ("wv", (h2,)), ("bv", (1,)),
-    ]
+    ]:
+        layout.append((name, shape, slice(offset, offset + math.prod(shape))))
+        offset += math.prod(shape)
+    return tuple(layout)
 
 
 class PolicyNet:
@@ -78,19 +87,14 @@ class PolicyNet:
     def __init__(self, cfg: NetConfig, params: np.ndarray | None = None):
         self.cfg = cfg
         self.layout = _layout(cfg)
-        self.size = int(sum(np.prod(s) for _, s in self.layout))
+        self.size = self.layout[-1][2].stop
         if params is None:
             params = np.zeros(self.size)
         params = np.ascontiguousarray(params, dtype=np.float64)
         if params.shape != (self.size,):
             raise ValueError(f"expected {self.size} parameters, got {params.shape}")
         self.params = params
-        self._views: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape in self.layout:
-            n = int(np.prod(shape))
-            self._views[name] = self.params[offset : offset + n].reshape(shape)
-            offset += n
+        self._views = {name: params[flat].reshape(shape) for name, shape, flat in self.layout}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
@@ -253,7 +257,7 @@ def save_checkpoint(path: str | Path, net: PolicyNet, metadata: dict | None = No
         "dtype": "<f8",
         "net": {"input_dim": net.cfg.input_dim, "num_actions": net.cfg.num_actions,
                 "hidden": list(net.cfg.hidden)},
-        "layout": [[name, list(shape)] for name, shape in net.layout],
+        "layout": [[name, list(shape)] for name, shape, _ in net.layout],
         "meta": metadata or {},
     }
     header = json.dumps(manifest, sort_keys=True).encode("utf-8")
