@@ -76,8 +76,9 @@ def _layout(cfg: NetConfig) -> tuple[tuple[str, tuple[int, ...], slice], ...]:
         ("wp", (h2, a)), ("bp", (a,)),
         ("wv", (h2,)), ("bv", (1,)),
     ]:
-        layout.append((name, shape, slice(offset, offset + math.prod(shape))))
-        offset += math.prod(shape)
+        n = math.prod(shape)
+        layout.append((name, shape, slice(offset, offset + n)))
+        offset += n
     return tuple(layout)
 
 

@@ -40,7 +40,7 @@ class PpoConfig:
 
     def __post_init__(self):
         # 0 steps or streams: an update collects nothing and finetune never
-        # ends; 0 rows: a minibatch loop that cannot advance
+        # ends; 0 rows per minibatch: the update fails inside its loop
         for name in ("n_steps", "n_envs", "minibatch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
