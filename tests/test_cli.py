@@ -19,7 +19,7 @@ from abrlab.capacity import (PREDICTOR_CANDIDATES, LowerBoundPredictor, PointPre
                              evaluate_predictor_decisions)
 from abrlab.cli import main
 from abrlab.config import calibration_fingerprint, load_config, traces_fingerprint
-from abrlab.metrics import read_report_csv
+from abrlab.metrics import read_report_csv, write_report_csv
 from abrlab.net import load_checkpoint, make_greedy_policy, save_checkpoint
 from abrlab.sim import SessionLog, run_sessions, session_summary
 from abrlab.traces import ingest_trace, synthesize_trace, write_trace
@@ -212,6 +212,51 @@ class TestPipelineArtifacts:
         rows = {r.method: dataclasses.replace(r, method="") for r in
                 read_report_csv(tmp_path / str(7 + 8 - 4) / "reports" / "margin_grid.csv")}
         assert rows["bc+audit@no-audit"] != rows["full@no-audit"]
+
+    # The full grid and the grid at an unlisted margin are counted in the test above.
+    @pytest.mark.parametrize("candidates, argv, n_replays", [
+        (list(PREDICTOR_CANDIDATES), ["calibrate"], 3),
+        # full's margin 0.9 run is its method row; its no-audit, 0.95 and 1 runs are new
+        (None, ["evaluate", "--methods", "full", "--margin-grid"], 1 + 3),
+        (None, ["evaluate", "--handover-heavy", "--margin-grid"], 7 + 8 - 4),
+    ])
+    def test_each_distinct_run_is_replayed_once(self, pipeline, tmp_path, monkeypatch,
+                                                candidates, argv, n_replays):
+        replays = []
+
+        def counted(replay):
+            def run_sessions(*args, **kwargs):
+                replays.append(1)
+                return replay(*args, **kwargs)
+            return run_sessions
+
+        for module in (abrlab.cli, abrlab.capacity):
+            monkeypatch.setattr(module, "run_sessions", counted(module.run_sessions))
+        run = tmp_path / "run"
+        shutil.copytree(pipeline, run)
+        predictor = {**TINY["predictor"], "candidates": candidates or ["point", "lower-bound"]}
+        cfg = _write_cfg(tmp_path / "exp.yaml", predictor=predictor)
+        assert main([argv[0], "--config", str(cfg), "--out", str(run), *argv[1:]]) == 0
+        assert len(replays) == n_replays
+
+    def test_calibrate_scores_the_lower_bound_in_calibration_json(self, pipeline, tmp_path):
+        # The predictors.csv row must equal a direct replay of the frozen policy
+        # on the calibration traces, audited by the bound read back from disk.
+        cfg = load_config(pipeline / "config.yaml")
+        spec = cfg.video.video_spec()
+        payload = json.loads((pipeline / "calibration.json").read_text())
+        net, _ = load_checkpoint(pipeline / "checkpoints" / f"{payload['frozen_policy']}.ckpt")
+        lower = LowerBoundPredictor(PointPredictor(cfg.predictor), payload["scale"])
+        traces = [ingest_trace(pipeline / "traces" / f"{tid}.csv")
+                  for tid in json.loads((pipeline / "split.json").read_text())["calibration"]]
+        res = evaluate_predictor_decisions(
+            "lower-bound", lambda trace, audit: make_auditor(lower, audit), cfg.audit,
+            make_greedy_policy(net, spec, cfg.features), traces, spec, cfg.qoe,
+            history_len=cfg.history_len, tail_fraction=cfg.eval.tail_fraction,
+            severe_threshold_s=cfg.eval.severe_threshold_s)
+        write_report_csv([res.report], tmp_path / "direct.csv")
+        row = (tmp_path / "direct.csv").read_text().splitlines()[1]
+        assert row in (pipeline / "reports" / "predictors.csv").read_text().splitlines()
 
     def test_each_method_replays_its_own_checkpoint(self, pipeline, tmp_path):
         # At this scale fine-tuning barely moves the cloned net, so the ppo
