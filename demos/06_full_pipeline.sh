@@ -23,8 +23,8 @@ abrlab pretrain   --config "$CFG" --out "$RUN"
 abrlab finetune   --config "$CFG" --out "$RUN"
 abrlab finetune   --config "$CFG" --out "$RUN" --lambda 0   # ablation: no tail penalty
 abrlab calibrate  --config "$CFG" --out "$RUN"
-abrlab evaluate   --config "$CFG" --out "$RUN" --margin-grid
 abrlab evaluate   --config "$CFG" --out "$RUN" --methods bc-only,full --handover-heavy
+abrlab evaluate   --config "$CFG" --out "$RUN" --margin-grid   # replaces the reports above
 abrlab report     --config "$CFG" --out "$RUN"
 
 echo

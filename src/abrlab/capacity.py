@@ -180,6 +180,32 @@ class DecisionEvalResult:
     logs: tuple[SessionLog, ...]
 
 
+def decision_scores(logs: Sequence[SessionLog], guard_s: float) -> tuple[float, float, int, int]:
+    """(v_dec, overrate_hr, n_decisions, n_admitted): the auditor of audited
+    sessions scored at decision level.
+
+    v_dec counts violations of the budget `buffer - guard_s` only over
+    admitted (executed, non-fallback) decisions; the overprediction rate is
+    computed on the lowest-30% realized capacity slice of all forecasted
+    decisions. Chunks decided before any history existed carry no forecast
+    and are excluded from both.
+    """
+    predicted: list[float] = []
+    realized: list[float] = []
+    admitted_violations: list[bool] = []
+    for log in logs:
+        for o in log.outcomes:
+            if math.isnan(o.predicted_capacity_bps):
+                continue
+            predicted.append(o.predicted_capacity_bps)
+            realized.append(o.effective_throughput_bps)
+            if not o.fallback:
+                admitted_violations.append(decision_violation(o.size_bytes, o.effective_throughput_bps,
+                                                              o.buffer_before_s, guard_s))
+    overrate = high_risk_overrate(predicted, realized) if predicted else 0.0
+    return violation_rate(admitted_violations), overrate, len(predicted), len(admitted_violations)
+
+
 def evaluate_predictor_decisions(
     name: str, auditor_for: Callable, audit: AuditConfig, policy: Callable,
     traces: Sequence[ThroughputTrace], spec: VideoSpec, w: QoEWeights, history_len: int = 8,
@@ -189,38 +215,14 @@ def evaluate_predictor_decisions(
 
     Each session is audited by `auditor_for(trace, audit)`: `make_oracle_auditor`
     as it is, or `lambda tr, a: make_auditor(predictor, a)` for a predictor.
-    The report row is named `name`. v_dec counts violations of the budget
-    `buffer - audit.guard_s` only over admitted (executed, non-fallback)
-    decisions; the overprediction rate is computed on the lowest-30% realized
-    capacity slice of all forecasted decisions. Chunks decided before any
-    history existed carry no forecast and are excluded from both.
+    The report row is named `name` and carries `decision_scores` at
+    `audit.guard_s`.
     """
     if not traces:
         raise ValueError("no traces to evaluate")
-    predicted: list[float] = []
-    realized: list[float] = []
-    admitted_violations: list[bool] = []
     logs = run_sessions(traces, spec, w, policy, [auditor_for(trace, audit) for trace in traces],
                         history_len=history_len)
-    for log in logs:
-        for o in log.outcomes:
-            if math.isnan(o.predicted_capacity_bps):
-                continue
-            predicted.append(o.predicted_capacity_bps)
-            realized.append(o.effective_throughput_bps)
-            if not o.fallback:
-                admitted_violations.append(
-                    decision_violation(o.size_bytes, o.effective_throughput_bps, o.buffer_before_s, audit.guard_s)
-                )
-    v_dec = violation_rate(admitted_violations)
-    overrate = high_risk_overrate(predicted, realized) if predicted else 0.0
+    v_dec, overrate, n_decisions, n_admitted = decision_scores(logs, audit.guard_s)
     report = build_report(name, logs, v_dec=v_dec, overrate_hr=overrate,
                           tail_fraction=tail_fraction, severe_threshold_s=severe_threshold_s)
-    return DecisionEvalResult(
-        v_dec=v_dec,
-        overrate_hr=overrate,
-        n_decisions=len(predicted),
-        n_admitted=len(admitted_violations),
-        report=report,
-        logs=tuple(logs),
-    )
+    return DecisionEvalResult(v_dec, overrate, n_decisions, n_admitted, report, tuple(logs))

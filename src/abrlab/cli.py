@@ -10,9 +10,9 @@ artifacts there:
     <out>/checkpoints/ppo_lambda<L>_seed<K>.ckpt  fine-tuned policy (+ _curve.json)
     <out>/calibration.json                lower-bound scale and frozen policy
     <out>/reports/predictors.csv          candidate predictors scored on calibration traces
-    <out>/reports/methods.{csv,json}      per-method risk table
-    <out>/reports/sessions_<method>.csv   per-session rows
-    <out>/reports/margin_grid.csv         audited methods across eval.margin_grid
+    <out>/reports/methods.{csv,json}      per-method risk table of the last `evaluate`
+    <out>/reports/sessions_<method>.csv   per-session rows of each method it evaluated
+    <out>/reports/margin_grid.csv         its audited methods across eval.margin_grid, if asked
 
 Checkpoints and the calibration record carry a fingerprint of the config
 slice that produced them and a digest of the trace set they were built on;
@@ -28,13 +28,13 @@ import dataclasses
 import hashlib
 import json
 import sys
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from .auditor import make_auditor, make_oracle_auditor
-from .capacity import (LowerBoundPredictor, PointPredictor, calibrate_lower_bound,
-                       coverage_miss_rate, evaluate_predictor_decisions)
-from .config import (ExperimentConfig, bc_fingerprint, calibration_fingerprint,
+from .capacity import (LowerBoundPredictor, PointPredictor, calibrate_lower_bound, coverage_miss_rate,
+                       decision_scores)
+from .config import (METHODS, ExperimentConfig, bc_fingerprint, calibration_fingerprint,
                      load_config, ppo_fingerprint, save_config, traces_fingerprint, with_overrides)
 from .imitation import pretrain
 from .metrics import REPORT_COLUMNS, build_report, read_report_csv, write_report_csv, write_report_json
@@ -44,10 +44,6 @@ from .risk_ppo import finetune
 # run_session is not called here but stays bound: the benchmark tests check this binding.
 from .sim import run_session, run_sessions, session_summary  # noqa: F401
 from .traces import handover_heavy_subset, ingest_trace, split_traces, synthesize_trace, write_trace
-
-AUDITED_METHODS = ("bc+audit", "full")
-# audited method -> the method-table row that replays the same policy unaudited
-UNAUDITED_TWIN = {"bc+audit": "bc-only", "full": "bc+rl"}
 
 # checkpoint kind -> (config fingerprint, stage that writes it, suffix of its side JSON)
 CHECKPOINTS = {"bc": (bc_fingerprint, "pretrain", "history"),
@@ -66,14 +62,10 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _predictor_auditor(predictor):
-    """Auditor factory that screens every session with `predictor`."""
-    return lambda trace, audit: make_auditor(predictor, audit)
-
-
 class RunContext:
     """What every stage shares: the resolved config, the run-directory paths,
-    the split (read once), fingerprinted checkpoints and one evaluator."""
+    the split (read once), fingerprinted checkpoints, policies and auditors,
+    and one evaluator that replays each distinct run once."""
 
     def __init__(self, args):
         cfg = load_config(args.config) if args.config else ExperimentConfig()
@@ -87,7 +79,8 @@ class RunContext:
         self.trace_dir = self.out / "traces"
         self.ckpt_dir = self.out / "checkpoints"
         self.report_dir = self.out / "reports"
-        self._greedy: dict = {}  # checkpoint kind -> its greedy policy, loaded once
+        self._policies: dict = {}  # policy kind -> its policy, built once
+        self._runs: dict = {}  # run key -> (risk report, session rows), replayed once
 
     @cached_property
     def spec(self):
@@ -162,33 +155,52 @@ class RunContext:
                                                     **self.stamp(CHECKPOINTS[kind][0](self.cfg))})
         _write_json(self.side_path(kind), side)
 
-    def greedy(self, kind: str):
-        if kind not in self._greedy:
-            net, _ = self.load_policy(kind)
-            self._greedy[kind] = make_greedy_policy(net, self.spec, self.cfg.features)
-        return self._greedy[kind]
+    def policy(self, kind: str):
+        """The policy of a `config.METHODS` kind: a rule, a planner or a checkpoint's greedy net."""
+        if kind not in self._policies:
+            cfg = self.cfg
+            if kind in CHECKPOINTS:
+                net, _ = self.load_policy(kind)
+                policy = make_greedy_policy(net, self.spec, cfg.features)
+            else:
+                policy = {"rate-rule": make_rate_rule_policy, "bola": partial(make_bola_policy, cfg.bola),
+                          "robust-mpc": partial(make_robust_mpc_policy, self.spec, self.w, cfg.mpc)}[kind]()
+            self._policies[kind] = policy
+        return self._policies[kind]
 
-    def calibrated(self) -> LowerBoundPredictor:
+    @cached_property
+    def auditors(self) -> dict:
+        """Auditor factory `(trace, audit) -> auditor` per name in
+        capacity.PREDICTOR_CANDIDATES; the lower bound is calibration.json's."""
         path = self.out / "calibration.json"
         if not path.exists():
             raise StageError(f"{path} not found; run `abrlab calibrate` first")
         payload = json.loads(path.read_text(encoding="utf-8"))
         self.check_fresh(path.name, payload, self.stamp(calibration_fingerprint(self.cfg)))
-        return LowerBoundPredictor(PointPredictor(self.cfg.predictor), payload["scale"])
+        lower = LowerBoundPredictor(PointPredictor(self.cfg.predictor), payload["scale"])
+        return {"point": lambda trace, audit: make_auditor(lower.point, audit),
+                "lower-bound": lambda trace, audit: make_auditor(lower, audit),
+                "oracle": make_oracle_auditor}
 
-    def evaluate(self, name: str, policy, traces, auditor_for=None, margin: float | None = None):
-        """(risk report, session logs) of `policy` on `traces`, audited by
-        `auditor_for(trace, audit)` when given, at `margin` or the configured one."""
+    def evaluate(self, label: str, kind: str, traces, auditor: str | None = None,
+                 margin: float | None = None):
+        """(risk report named `label`, session rows) of policy `kind` on `traces`,
+        audited by `auditors[auditor]` at `margin` or the configured one when
+        given. A run is replayed once per stage: a repeat comes back relabeled."""
         cfg = self.cfg
-        tail = {"tail_fraction": cfg.eval.tail_fraction,
-                "severe_threshold_s": cfg.eval.severe_threshold_s}
-        if auditor_for is None:
-            logs = run_sessions(traces, self.spec, self.w, policy, history_len=cfg.history_len)
-            return build_report(name, logs, **tail), logs
         audit = cfg.audit if margin is None else dataclasses.replace(cfg.audit, capacity_margin=margin)
-        res = evaluate_predictor_decisions(name, auditor_for, audit, policy, traces, self.spec,
-                                           self.w, history_len=cfg.history_len, **tail)
-        return res.report, res.logs
+        key = (kind, tuple(trace.trace_id for trace in traces), auditor, audit if auditor else None)
+        if key not in self._runs:
+            screens = [self.auditors[auditor](trace, audit) for trace in traces] if auditor else None
+            logs = run_sessions(traces, self.spec, self.w, self.policy(kind), screens,
+                                history_len=cfg.history_len)
+            v_dec, overrate = decision_scores(logs, audit.guard_s)[:2] if auditor else (None, None)
+            report = build_report(label, logs, v_dec=v_dec, overrate_hr=overrate,
+                                  tail_fraction=cfg.eval.tail_fraction,
+                                  severe_threshold_s=cfg.eval.severe_threshold_s)
+            self._runs[key] = report, [session_summary(log) for log in logs]
+        report, rows = self._runs[key]
+        return dataclasses.replace(report, method=label), rows
 
 
 # ---------------------------------------------------------------- stages
@@ -271,49 +283,26 @@ def cmd_finetune(ctx: RunContext) -> int:
 
 def cmd_calibrate(ctx: RunContext) -> int:
     cfg = ctx.cfg
+    frozen = "ppo" if ctx.ckpt_path("ppo").exists() else "bc"
+    ctx.policy(frozen)  # a stale checkpoint is refused before anything is written
     cal_traces = ctx.traces("calibration")
     point = PointPredictor(cfg.predictor)
     result = calibrate_lower_bound(point, cal_traces)
-    lower = LowerBoundPredictor(point, result.scale)
-    # One auditor factory per name in capacity.PREDICTOR_CANDIDATES.
-    registry = {"point": _predictor_auditor(point), "lower-bound": _predictor_auditor(lower),
-                "oracle": make_oracle_auditor}
-    frozen = "ppo" if ctx.ckpt_path("ppo").exists() else "bc"
-    policy = ctx.greedy(frozen)
-    reports = [ctx.evaluate(name, policy, cal_traces, registry[name])[0]
-               for name in cfg.predictor.candidates]
-    ctx.report_dir.mkdir(exist_ok=True)
-    write_report_csv(reports, ctx.report_dir / "predictors.csv")
     _write_json(ctx.out / "calibration.json", {**dataclasses.asdict(result),
                                                **ctx.stamp(calibration_fingerprint(cfg)),
                                                "frozen_policy": ctx.stem(frozen)})
+    # Each candidate is scored through the auditors `evaluate` builds from that file.
+    reports = [ctx.evaluate(name, frozen, cal_traces, name)[0] for name in cfg.predictor.candidates]
+    ctx.report_dir.mkdir(exist_ok=True)
+    write_report_csv(reports, ctx.report_dir / "predictors.csv")
     line = (f"calibrated scale={result.scale:.4f} from {result.n_windows} windows "
             f"(delta={result.delta}); scored {list(cfg.predictor.candidates)} under {ctx.stem(frozen)}")
     if ctx.split["test"]:
-        miss, n = coverage_miss_rate(lower, ctx.traces("test"))
+        miss, n = coverage_miss_rate(LowerBoundPredictor(point, result.scale), ctx.traces("test"))
         line += f"; test miss rate {miss:.3f} over {n} windows"
     print(line)
     print(_format_table(reports))
     return 0
-
-
-def _method_policy(ctx: RunContext, name: str):
-    if name == "rate-rule":
-        return make_rate_rule_policy()
-    if name == "bola":
-        return make_bola_policy(ctx.cfg.bola)
-    if name == "robust-mpc":
-        return make_robust_mpc_policy(ctx.spec, ctx.w, ctx.cfg.mpc)
-    # a cloned or fine-tuned policy; EvalSection admits only ALL_METHODS
-    return ctx.greedy("bc" if name in ("bc-only", "bc+audit") else "ppo")
-
-
-def _write_session_rows(logs, path: Path) -> None:
-    rows = [session_summary(log) for log in logs]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(rows[0].keys())
-        wr.writerows(row.values() for row in rows)
 
 
 def _format_table(reports) -> str:
@@ -331,7 +320,8 @@ def cmd_evaluate(ctx: RunContext) -> int:
     if "robust-mpc" in cfg.eval.methods and cfg.mpc.history_len > cfg.history_len:
         raise StageError(f"mpc.history_len ({cfg.mpc.history_len}) may not exceed history_len "
                          f"({cfg.history_len}), the throughput samples a session keeps")
-    audited = [name for name in cfg.eval.methods if name in AUDITED_METHODS]
+    plan = {name: METHODS[name] for name in cfg.eval.methods}  # name -> (policy kind, auditor)
+    audited = [name for name, (_, auditor) in plan.items() if auditor]
     if args.margin_grid and not audited:
         raise StageError("--margin-grid needs at least one audited method (bc+audit or full)")
     test_traces = ctx.traces("test")
@@ -341,31 +331,33 @@ def cmd_evaluate(ctx: RunContext) -> int:
         keep = set(handover_heavy_subset(test_traces, cfg.eval.handover_window_s,
                                          cfg.eval.handover_top_fraction))
         test_traces = [tr for tr in test_traces if tr.trace_id in keep]
-    policies = {name: _method_policy(ctx, name) for name in cfg.eval.methods}
-    auditor_for = _predictor_auditor(ctx.calibrated()) if audited else None
+    for kind, auditor in plan.values():
+        ctx.policy(kind)  # a missing or stale checkpoint or calibration fails before any replay
+        if auditor:
+            ctx.auditors[auditor]
+    runs = {name: ctx.evaluate(name, kind, test_traces, auditor) for name, (kind, auditor) in plan.items()}
+    grid = []
+    for name in audited if args.margin_grid else ():
+        kind, auditor = plan[name]
+        grid.append(ctx.evaluate(f"{name}@no-audit", kind, test_traces)[0])
+        grid += [ctx.evaluate(f"{name}@margin={_fmt_num(m)}", kind, test_traces, auditor, m)[0]
+                 for m in cfg.eval.margin_grid]
+    # What an earlier evaluation left and this one does not write would read as current.
     ctx.report_dir.mkdir(exist_ok=True)
-    reports = {}
-    for name, policy in policies.items():
-        report, logs = ctx.evaluate(name, policy, test_traces,
-                                    auditor_for if name in AUDITED_METHODS else None)
-        reports[name] = report
-        _write_session_rows(logs, ctx.report_dir / f"sessions_{name.replace('+', '_')}.csv")
-    write_report_csv(reports.values(), ctx.report_dir / "methods.csv")
-    write_report_json(reports.values(), ctx.report_dir / "methods.json")
-    if args.margin_grid:
-        grid = []
-        for name in audited:
-            # (label, the method-table row that made the same run, evaluate's audit arguments)
-            runs = [(f"{name}@no-audit", UNAUDITED_TWIN[name], ())]
-            runs += [(f"{name}@margin={_fmt_num(m)}", name if m == cfg.audit.capacity_margin else None,
-                      (auditor_for, m)) for m in cfg.eval.margin_grid]
-            grid += [dataclasses.replace(reports[twin], method=label) if twin in reports
-                     else ctx.evaluate(label, policies[name], test_traces, *audit)[0]
-                     for label, twin, audit in runs]
+    for path in [*ctx.report_dir.glob("sessions_*.csv"), ctx.report_dir / "margin_grid.csv"]:
+        path.unlink(missing_ok=True)
+    reports = [report for report, _ in runs.values()]
+    for name, (_, rows) in runs.items():
+        with open(ctx.report_dir / f"sessions_{name.replace('+', '_')}.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            csv.writer(fh).writerows([rows[0].keys(), *(row.values() for row in rows)])
+    write_report_csv(reports, ctx.report_dir / "methods.csv")
+    write_report_json(reports, ctx.report_dir / "methods.json")
+    if grid:
         write_report_csv(grid, ctx.report_dir / "margin_grid.csv")
     suffix = " (handover-heavy subset)" if args.handover_heavy else ""
     print(f"evaluated {len(reports)} methods on {len(test_traces)} test traces{suffix}")
-    print(_format_table(reports.values()))
+    print(_format_table(reports))
     return 0
 
 

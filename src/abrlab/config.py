@@ -25,7 +25,12 @@ from .risk_ppo import CvarConfig, PpoConfig
 from .sim import BitrateLadder, QoEWeights, VideoSpec
 from .traces import SynthConfig, split_traces
 
-ALL_METHODS = ("rate-rule", "bola", "robust-mpc", "bc-only", "bc+rl", "bc+audit", "full")
+# method -> (the policy it replays: a rule, a planner, or the "bc" (cloned) or "ppo"
+# (fine-tuned) checkpoint; the predictor candidate that audits it: the calibrated bound, or None)
+METHODS = {"rate-rule": ("rate-rule", None), "bola": ("bola", None), "robust-mpc": ("robust-mpc", None),
+           "bc-only": ("bc", None), "bc+rl": ("ppo", None),
+           "bc+audit": ("bc", "lower-bound"), "full": ("ppo", "lower-bound")}
+ALL_METHODS = tuple(METHODS)
 
 
 @dataclass(frozen=True)

@@ -291,13 +291,12 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyNet, dict]:
 
 def make_greedy_policy(net: PolicyNet, spec: VideoSpec, fc: FeatureConfig = FeatureConfig()):
     """Most probable rung per state; `decide.batch` decides many states in one forward."""
-    def decide(state: PlayerState) -> int:
-        probs, _ = forward(net, featurize(state, spec, fc))
-        return greedy_action(probs)
-
     def batch(states: Sequence[PlayerState]) -> np.ndarray:
         probs, _ = forward(net, np.stack([featurize(s, spec, fc) for s in states]))
         return np.argmax(probs, axis=1)  # ties go to the lower rung, as in greedy_action
+
+    def decide(state: PlayerState) -> int:
+        return int(batch([state])[0])
 
     decide.batch = batch
     return decide

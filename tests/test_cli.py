@@ -306,6 +306,22 @@ class TestPipelineArtifacts:
         assert "bc+audit@margin=0.95" in out
         assert "method" in out and "rebuf_worst5_s" in out
 
+    def test_evaluate_leaves_no_report_of_an_earlier_run(self, pipeline, tmp_path, capsys):
+        # The fixture's run evaluated every method with the margin grid; a later
+        # one-method run must not leave the grid or other methods' sessions behind.
+        run = tmp_path / "run"
+        shutil.copytree(pipeline, run)
+        assert main(["evaluate", "--config", str(pipeline.parent / "exp.yaml"), "--out", str(run),
+                     "--methods", "bc-only", "--handover-heavy"]) == 0
+        reports = run / "reports"
+        assert not (reports / "margin_grid.csv").exists()
+        assert [p.name for p in reports.glob("sessions_*.csv")] == ["sessions_bc-only.csv"]
+        assert (reports / "predictors.csv").exists()
+        capsys.readouterr()
+        assert main(["report", "--out", str(run)]) == 0
+        out = capsys.readouterr().out
+        assert "bc-only" in out and "@margin" not in out
+
     def test_evaluate_supports_method_subset(self, pipeline, tmp_path, capsys):
         # classic controllers need no checkpoints, so a fresh dir works too
         cfg = _write_cfg(tmp_path / "exp.yaml", traces={"count": 4, "duration_s": 120})
