@@ -8,9 +8,10 @@ Run from the repo root:  python demos/04_risk_finetune.py  (takes ~30s)
 """
 
 from abrlab.imitation import BcConfig, pretrain
+from abrlab.metrics import build_report
 from abrlab.net import make_greedy_policy
 from abrlab.risk_ppo import CvarConfig, PpoConfig, finetune
-from abrlab.sim import QoEWeights, VideoSpec, run_session
+from abrlab.sim import QoEWeights, VideoSpec, run_session, session_summary
 from abrlab.traces import SynthConfig, synthesize_trace
 
 
@@ -38,12 +39,10 @@ def main():
               f"{row['shaped_episodes']:7d}")
 
     def score(label, policy):
-        logs = [run_session(tr, spec, w, policy) for tr in test]
-        rebufs = sorted(log.session_rebuffer_s for log in logs)
-        severe = sum(r > 10.0 for r in rebufs) / len(rebufs)
-        qoe = sum(log.session_qoe for log in logs) / len(logs)
-        print(f"{label:12s} qoe {qoe:8.1f}  severe ratio {severe:.3f}  "
-              f"worst rebuffers {[f'{r:.1f}' for r in rebufs[-3:]]}")
+        # The risk row is built from session rows, as `abrlab evaluate` builds it.
+        r = build_report(label, [session_summary(run_session(tr, spec, w, policy)) for tr in test])
+        print(f"{label:12s} qoe {r.qoe_mean:8.1f}  severe ratio {r.severe_ratio:.3f}  "
+              f"worst-{r.tail_k} mean rebuffer {r.rebuf_worst5_s:.1f} s")
 
     print("\nheld-out comparison:")
     score("cloned", make_greedy_policy(cloned, spec))

@@ -19,8 +19,7 @@ from .config import (ExperimentConfig, config_from_dict, config_to_dict, load_co
                      save_config, with_overrides)
 from .imitation import (BcConfig, ImitationDataset, dagger_round, expert_agreement,
                         imitation_loss, pretrain)
-from .metrics import (RiskReport, audit_rate, build_report, exceed_ratio, mean_metrics,
-                      read_report_csv, severe_ratio, tail_mean, worst_tail_rebuf,
+from .metrics import (RiskReport, build_report, exceed_ratio, read_report_csv, tail_mean,
                       write_report_csv, write_report_json)
 from .net import (Adam, FeatureConfig, NetConfig, PolicyNet, backward, feature_dim,
                   featurize, forward, greedy_action, init_policy_net, load_checkpoint,

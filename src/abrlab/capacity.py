@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .auditor import AuditConfig, decision_violation
 from .metrics import RiskReport, build_report
 # run_session is not called here but stays bound: the benchmark tests check this binding.
-from .sim import QoEWeights, SessionLog, VideoSpec, run_session, run_sessions  # noqa: F401
+from .sim import QoEWeights, SessionLog, VideoSpec, run_session, run_sessions, session_summary  # noqa: F401
 from .traces import ThroughputTrace
 
 # The predictors `calibrate` can score; "oracle" is the hindsight auditor.
@@ -223,6 +223,6 @@ def evaluate_predictor_decisions(
     logs = run_sessions(traces, spec, w, policy, [auditor_for(trace, audit) for trace in traces],
                         history_len=history_len)
     v_dec, overrate, n_decisions, n_admitted = decision_scores(logs, audit.guard_s)
-    report = build_report(name, logs, v_dec=v_dec, overrate_hr=overrate,
+    report = build_report(name, [session_summary(log) for log in logs], v_dec=v_dec, overrate_hr=overrate,
                           tail_fraction=tail_fraction, severe_threshold_s=severe_threshold_s)
     return DecisionEvalResult(v_dec, overrate, n_decisions, n_admitted, report, tuple(logs))

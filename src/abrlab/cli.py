@@ -195,10 +195,10 @@ class RunContext:
             logs = run_sessions(traces, self.spec, self.w, self.policy(kind), screens,
                                 history_len=cfg.history_len)
             v_dec, overrate = decision_scores(logs, audit.guard_s)[:2] if auditor else (None, None)
-            report = build_report(label, logs, v_dec=v_dec, overrate_hr=overrate,
-                                  tail_fraction=cfg.eval.tail_fraction,
-                                  severe_threshold_s=cfg.eval.severe_threshold_s)
-            self._runs[key] = report, [session_summary(log) for log in logs]
+            rows = [session_summary(log) for log in logs]
+            self._runs[key] = build_report(label, rows, v_dec=v_dec, overrate_hr=overrate,
+                                           tail_fraction=cfg.eval.tail_fraction,
+                                           severe_threshold_s=cfg.eval.severe_threshold_s), rows
         report, rows = self._runs[key]
         return dataclasses.replace(report, method=label), rows
 
@@ -221,13 +221,18 @@ def cmd_gen_traces(ctx: RunContext) -> int:
 
 
 def cmd_ingest(ctx: RunContext) -> int:
-    ctx.trace_dir.mkdir(parents=True, exist_ok=True)
-    total_s = 0.0
+    traces, paths = [], {}  # every file is read and checked before any is written
     for src in ctx.args.files:
         tr = ingest_trace(src)
+        if tr.trace_id in paths:
+            raise StageError(f"{paths[tr.trace_id]} and {src} would both be trace {tr.trace_id!r}")
+        paths[tr.trace_id] = src
+        traces.append(tr)
+    ctx.trace_dir.mkdir(parents=True, exist_ok=True)
+    for tr in traces:
         write_trace(tr, ctx.trace_dir)
-        total_s += tr.duration_s
-    print(f"ingested {len(ctx.args.files)} traces ({total_s:.0f} s total) into {ctx.trace_dir}; "
+    total_s = sum(tr.duration_s for tr in traces)
+    print(f"ingested {len(traces)} traces ({total_s:.0f} s total) into {ctx.trace_dir}; "
           f"run `abrlab split` to refresh split.json")
     return 0
 

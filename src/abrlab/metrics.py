@@ -11,11 +11,9 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-from .sim import SessionLog
 
 
 def tail_mean(values: Sequence[float], fraction: float) -> float:
@@ -37,37 +35,6 @@ def exceed_ratio(values: Sequence[float], threshold: float) -> float:
     return float(np.mean(v > threshold))
 
 
-def mean_metrics(logs: Sequence[SessionLog]) -> tuple[float, float]:
-    """(mean session QoE, mean session rebuffer seconds) across the fleet."""
-    if not logs:
-        raise ValueError("no sessions to aggregate")
-    qoe = np.array([log.session_qoe for log in logs])
-    rebuf = np.array([log.session_rebuffer_s for log in logs])
-    return float(qoe.mean()), float(rebuf.mean())
-
-
-def worst_tail_rebuf(logs: Sequence[SessionLog], fraction: float = 0.05) -> float:
-    """Mean rebuffer over the worst ceil(fraction * n) sessions."""
-    if not logs:
-        raise ValueError("no sessions to aggregate")
-    return tail_mean([log.session_rebuffer_s for log in logs], fraction)
-
-
-def severe_ratio(logs: Sequence[SessionLog], threshold_s: float = 10.0) -> float:
-    """Fraction of sessions with total rebuffering strictly above threshold_s."""
-    if not logs:
-        raise ValueError("no sessions to aggregate")
-    return exceed_ratio([log.session_rebuffer_s for log in logs], threshold_s)
-
-
-def audit_rate(logs: Sequence[SessionLog]) -> float:
-    """Fraction of chunk decisions the auditor changed."""
-    chunks = sum(len(log.outcomes) for log in logs)
-    if chunks == 0:
-        raise ValueError("no chunk outcomes to aggregate")
-    return sum(log.audit_interventions for log in logs) / chunks
-
-
 @dataclass(frozen=True)
 class RiskReport:
     method: str
@@ -83,20 +50,28 @@ class RiskReport:
     overrate_hr: float | None = None
 
 
-def build_report(method: str, logs: Sequence[SessionLog],
+def build_report(method: str, rows: Sequence[Mapping],
                  v_dec: float | None = None, overrate_hr: float | None = None,
                  tail_fraction: float = 0.05, severe_threshold_s: float = 10.0) -> RiskReport:
-    qoe_mean, rebuf_mean = mean_metrics(logs)
+    """The risk row of `method` over session rows: `sim.session_summary` dicts,
+    or `sessions_<method>.csv` rows read back with numeric cells. The tail is
+    the worst ceil(tail_fraction * n) sessions; severe is strictly above."""
+    if not rows:
+        raise ValueError("no sessions to aggregate")
+    chunks = sum(row["chunks"] for row in rows)
+    if chunks == 0:
+        raise ValueError("no chunk outcomes to aggregate")
+    rebuf = np.array([row["rebuffer_s"] for row in rows])
     return RiskReport(
         method=method,
-        n_sessions=len(logs),
-        qoe_mean=qoe_mean,
-        rebuf_mean_s=rebuf_mean,
-        rebuf_worst5_s=worst_tail_rebuf(logs, tail_fraction),
-        severe_ratio=severe_ratio(logs, severe_threshold_s),
+        n_sessions=len(rows),
+        qoe_mean=float(np.mean([row["session_qoe"] for row in rows])),
+        rebuf_mean_s=float(rebuf.mean()),
+        rebuf_worst5_s=tail_mean(rebuf, tail_fraction),
+        severe_ratio=exceed_ratio(rebuf, severe_threshold_s),
         severe_threshold_s=severe_threshold_s,
-        tail_k=int(math.ceil(tail_fraction * len(logs))),
-        audit_rate=audit_rate(logs),
+        tail_k=int(math.ceil(tail_fraction * len(rows))),
+        audit_rate=sum(row["audit_interventions"] for row in rows) / chunks,
         v_dec=v_dec,
         overrate_hr=overrate_hr,
     )

@@ -245,7 +245,12 @@ AuditorFn = Callable[[PlayerState, np.ndarray, int], object]
 
 
 class SessionEnv:
-    """Step-level session driver; run_session and the trainers share it."""
+    """Step-level session driver; run_session and the trainers share it.
+
+    `state` is the PlayerState last returned, the session's only record of
+    where it stands. Each state owns a read-only history, so a state handed
+    out never changes, and a policy that writes into its input fails loudly.
+    """
 
     def __init__(self, trace: ThroughputTrace, spec: VideoSpec, w: QoEWeights, history_len: int = 8):
         if history_len < 1:
@@ -257,37 +262,26 @@ class SessionEnv:
         self.reset()
 
     def reset(self) -> PlayerState:
-        self._t = 0
-        self._now = float(self.trace.times_s[0])
-        self._buffer = float(self.spec.initial_buffer_s)
-        self._prev = int(self.spec.initial_prev_rung)
-        self._hist = np.zeros(self.history_len)
+        spec, history = self.spec, np.zeros(self.history_len)
+        history.setflags(write=False)
         self.outcomes: list[ChunkOutcome] = []
         self.truncated = False
-        return self._state()
-
-    def _state(self) -> PlayerState:
-        return PlayerState(
-            chunk_index=self._t,
-            buffer_s=self._buffer,
-            prev_rung=self._prev,
-            throughput_history=self._hist.copy(),
-            remaining_chunks=self.spec.num_chunks - self._t,
-            next_chunk_sizes=self.spec.sizes[self._t].copy(),
-            ladder_kbps=self.spec.ladder.rungs_kbps,
-            chunk_duration_s=self.spec.chunk_duration_s,
-            buffer_max_s=self.spec.buffer_max_s,
-            wall_time_s=self._now,
-        )
+        self.state = PlayerState(
+            chunk_index=0, buffer_s=float(spec.initial_buffer_s), prev_rung=int(spec.initial_prev_rung),
+            throughput_history=history, remaining_chunks=spec.num_chunks,
+            next_chunk_sizes=spec.sizes[0].copy(), ladder_kbps=spec.ladder.rungs_kbps,
+            chunk_duration_s=spec.chunk_duration_s, buffer_max_s=spec.buffer_max_s,
+            wall_time_s=float(self.trace.times_s[0]))
+        return self.state
 
     def measured_history_bps(self) -> np.ndarray:
         """Trace samples whose full second has elapsed before the wall clock."""
-        elapsed = int(math.floor(self._now - float(self.trace.times_s[0]) + 1e-12))
+        elapsed = int(math.floor(self.state.wall_time_s - float(self.trace.times_s[0]) + 1e-12))
         return self.trace.throughput_bps[: max(elapsed, 0)]
 
     @property
     def done(self) -> bool:
-        return self.truncated or self._t >= self.spec.num_chunks
+        return self.truncated or len(self.outcomes) == self.spec.num_chunks
 
     def step(self, rung: int, audit: object | None = None, raw_rung: int | None = None):
         """Download one chunk. Returns (next_state_or_None, outcome_or_None, done)."""
@@ -297,48 +291,40 @@ class SessionEnv:
         if not (0 <= rung < self.spec.ladder.num_rungs):
             raise ValueError(f"policy requested rung {rung} outside the ladder")
         raw = rung if raw_rung is None else int(raw_rung)
-        size = float(self.spec.sizes[self._t, rung])
+        s, spec = self.state, self.spec
+        size = float(spec.sizes[s.chunk_index, rung])
         try:
-            d, c = download_chunk(self.trace, self._now, size)
+            d, c = download_chunk(self.trace, s.wall_time_s, size)
         except TraceExhaustedError:
             self.truncated = True
             return None, None, True
-        rebuf = rebuffer_time(d, self._buffer)
-        rates = self.spec.ladder.rungs_kbps
-        q = chunk_qoe(rates[rung], rates[self._prev], rebuf, self.w)
-        buf_after = advance_buffer(self._buffer, d, self.spec.chunk_duration_s, self.spec.buffer_max_s)
+        rebuf = rebuffer_time(d, s.buffer_s)
+        q = chunk_qoe(s.ladder_kbps[rung], s.ladder_kbps[s.prev_rung], rebuf, self.w)
+        buf_after = advance_buffer(s.buffer_s, d, s.chunk_duration_s, s.buffer_max_s)
         outcome = ChunkOutcome(
-            chunk_index=self._t,
-            rung=rung,
-            raw_rung=raw,
-            audited=bool(getattr(audit, "intervened", False)),
-            fallback=bool(getattr(audit, "fallback", False)),
-            size_bytes=size,
-            download_time_s=d,
-            rebuffer_s=rebuf,
-            effective_throughput_bps=c,
-            qoe=q,
-            buffer_before_s=self._buffer,
-            buffer_after_s=buf_after,
+            chunk_index=s.chunk_index, rung=rung, raw_rung=raw,
+            audited=bool(getattr(audit, "intervened", False)), fallback=bool(getattr(audit, "fallback", False)),
+            size_bytes=size, download_time_s=d, rebuffer_s=rebuf, effective_throughput_bps=c, qoe=q,
+            buffer_before_s=s.buffer_s, buffer_after_s=buf_after,
             predicted_capacity_bps=float(getattr(audit, "predicted_capacity_bps", float("nan"))),
-            effective_capacity_bps=float(getattr(audit, "effective_capacity_bps", float("nan"))),
-        )
+            effective_capacity_bps=float(getattr(audit, "effective_capacity_bps", float("nan"))))
         self.outcomes.append(outcome)
-        self._now += d
-        self._buffer = buf_after
-        self._prev = rung
-        self._hist[:-1] = self._hist[1:]  # in place; `_state` hands out copies
-        self._hist[-1] = c
-        self._t += 1
-        done = self.done
-        return (None if done else self._state()), outcome, done
+        if self.done:
+            return None, outcome, True
+        history = np.empty(self.history_len)
+        history[:-1] = s.throughput_history[1:]
+        history[-1] = c
+        history.setflags(write=False)
+        t = s.chunk_index + 1
+        self.state = PlayerState(
+            chunk_index=t, buffer_s=buf_after, prev_rung=rung, throughput_history=history,
+            remaining_chunks=s.remaining_chunks - 1, next_chunk_sizes=spec.sizes[t].copy(),
+            ladder_kbps=s.ladder_kbps, chunk_duration_s=s.chunk_duration_s,
+            buffer_max_s=s.buffer_max_s, wall_time_s=s.wall_time_s + d)
+        return self.state, outcome, False
 
     def finish(self) -> SessionLog:
-        return SessionLog(
-            trace_id=self.trace.trace_id,
-            outcomes=list(self.outcomes),
-            truncated=self.truncated,
-        )
+        return SessionLog(self.trace.trace_id, list(self.outcomes), self.truncated)
 
 
 def run_sessions(traces: Sequence[ThroughputTrace], spec: VideoSpec, w: QoEWeights, policy: PolicyFn,

@@ -126,7 +126,7 @@ def write_trace(trace: ThroughputTrace, directory: str | Path) -> Path:
     out = directory / f"{trace.trace_id}.csv"
     lines = ["time_s,throughput_bps"]
     for t, v in zip(trace.times_s, trace.throughput_bps):
-        lines.append(f"{format(float(t), '.10g')},{float(v)!r}")
+        lines.append(f"{format(float(t), '.17g')},{float(v)!r}")  # round-trips; integers stay bare
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if trace.handover_times_s.size:
         sidecar = directory / f"{trace.trace_id}{HANDOVER_SIDECAR_SUFFIX}"
@@ -223,9 +223,9 @@ def split_traces(
 
 
 def _window_stats(trace: ThroughputTrace, window_s: float) -> tuple[int, float]:
-    h = trace.handover_times_s
-    count = int(np.sum((h >= 0.0) & (h < window_s)))
-    in_win = trace.times_s < window_s
+    t0, h = trace.times_s[0], trace.handover_times_s
+    count = int(np.sum((h >= t0) & (h < t0 + window_s)))
+    in_win = trace.times_s < t0 + window_s
     v = trace.throughput_bps[in_win]
     drop = float(np.max(v[:-1] - v[1:])) if v.size >= 2 else 0.0
     return count, max(drop, 0.0)
@@ -239,10 +239,10 @@ def handover_heavy_subset(
 ) -> list[str]:
     """Ids of the most handover-dense traces.
 
-    Counts handover events in [0, window_s) of each trace, keeps the top
-    `top_fraction` (ceil) per group (one global group when `groups` is None),
-    and breaks count ties toward the trace with the largest single-second
-    throughput drop inside the window.
+    Counts handover events in the first `window_s` seconds of each trace
+    (from its first sample), keeps the top `top_fraction` (ceil) per group
+    (one global group when `groups` is None), and breaks count ties toward
+    the trace with the largest single-second throughput drop inside the window.
     """
     if window_s <= 0:
         raise TraceValidationError("window_s must be positive")

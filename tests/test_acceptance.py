@@ -25,7 +25,7 @@ from abrlab.policies import make_rate_rule_policy
 from abrlab.risk_ppo import (CvarConfig, EpisodeInfo, RolloutBatch, clipped_surrogate,
                              empirical_cvar, gae_advantages, shape_terminal_rewards)
 from abrlab.sim import (PlayerState, QoEWeights, ThroughputTrace, VideoSpec,
-                        chunk_qoe, chunk_sizes, download_chunk, run_session)
+                        chunk_qoe, chunk_sizes, download_chunk, run_session, session_summary)
 from abrlab.traces import SynthConfig, synthesize_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -346,8 +346,8 @@ def test_criterion_07_risk_training_reduces_tails(trace_pools, trained_stack):
     for seed in trained_stack["seeds"]:
         bc_pol = make_greedy_policy(trained_stack["nets"][seed]["bc"], spec)
         rl_pol = make_greedy_policy(trained_stack["nets"][seed]["rl"], spec)
-        b = build_report("bc", [run_session(tr, spec, w, bc_pol) for tr in test])
-        r = build_report("rl", [run_session(tr, spec, w, rl_pol) for tr in test])
+        b = build_report("bc", [session_summary(run_session(tr, spec, w, bc_pol)) for tr in test])
+        r = build_report("rl", [session_summary(run_session(tr, spec, w, rl_pol)) for tr in test])
         f = evaluate_predictor_decisions(
             "lower-bound", lambda tr, a: make_auditor(trained_stack["lower"], a),
             AuditConfig(guard_s=0.0, capacity_margin=0.90), rl_pol, test, spec, w).report

@@ -19,7 +19,7 @@ from abrlab.capacity import (PREDICTOR_CANDIDATES, LowerBoundPredictor, PointPre
                              evaluate_predictor_decisions)
 from abrlab.cli import main
 from abrlab.config import calibration_fingerprint, load_config, traces_fingerprint
-from abrlab.metrics import read_report_csv, write_report_csv
+from abrlab.metrics import build_report, read_report_csv, write_report_csv
 from abrlab.net import load_checkpoint, make_greedy_policy, save_checkpoint
 from abrlab.sim import SessionLog, run_sessions, session_summary
 from abrlab.traces import ingest_trace, synthesize_trace, write_trace
@@ -160,6 +160,23 @@ class TestPipelineArtifacts:
             assert len(lines) == 1 + 2
             listed = sorted(line.split(",")[0] for line in lines[1:])
             assert listed == sorted(split["test"])
+
+    def test_method_table_rebuilds_from_session_rows(self, pipeline, tmp_path):
+        # A risk row is a function of session rows: build_report over each
+        # sessions_<method>.csv read back, with the decision scores of its
+        # row, writes the method table byte for byte.
+        cfg = load_config(pipeline / "config.yaml")
+        numeric = {"session_qoe": float, "rebuffer_s": float, "audit_interventions": int,
+                   "chunks": int, "truncated": int}
+        rebuilt = []
+        for r in read_report_csv(pipeline / "reports" / "methods.csv"):
+            with open(pipeline / "reports" / f"sessions_{r.method.replace('+', '_')}.csv", newline="") as fh:
+                rows = [{k: numeric.get(k, str)(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+            rebuilt.append(build_report(r.method, rows, v_dec=r.v_dec, overrate_hr=r.overrate_hr,
+                                        tail_fraction=cfg.eval.tail_fraction,
+                                        severe_threshold_s=cfg.eval.severe_threshold_s))
+        write_report_csv(rebuilt, tmp_path / "methods.csv")
+        assert (tmp_path / "methods.csv").read_text() == (pipeline / "reports" / "methods.csv").read_text()
 
     def test_margin_grid_rows(self, pipeline):
         grid = read_report_csv(pipeline / "reports" / "margin_grid.csv")
@@ -428,6 +445,18 @@ class TestErrorPaths:
         split = json.loads((run / "split.json").read_text())
         assert sorted(split["train"] + split["calibration"] + split["test"]) == \
             ["ext-0", "ext-1", "ext-2"]
+
+    def test_ingest_refuses_two_files_of_one_trace_id(self, tmp_path, capsys):
+        files = []
+        for i, day in enumerate(("d1", "d2")):
+            tr = synthesize_trace(SynthConfig(duration_s=300, seed=(41, i)), trace_id="day")
+            files.append(str(write_trace(tr, tmp_path / day)))
+        run = tmp_path / "run"
+        cfg = _write_cfg(tmp_path / "exp.yaml")
+        assert main(["ingest", "--config", str(cfg), "--out", str(run), *files]) == 2
+        err = capsys.readouterr().err
+        assert files[0] in err and files[1] in err
+        assert not (run / "traces").exists()  # refused before anything was written
 
 
 class TestCalibrateSettings:

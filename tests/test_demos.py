@@ -2,9 +2,10 @@
 
 Each demo keeps its `main()` behind `if __name__ == "__main__"`, so importing
 one runs nothing; the test imports it, then calls `main()` with its printout
-captured. The five take a few seconds together. The shell demo and README's
-CLI quick start are too slow to run here, so each of their `abrlab` lines is
-only parsed by the CLI's own parser.
+captured. The five take a few seconds together. README's library quick start
+runs as it stands. The shell demo and README's CLI quick start are too slow
+to run here, so each of their `abrlab` lines is only parsed by the CLI's own
+parser.
 """
 
 import importlib.util
@@ -55,3 +56,10 @@ def test_demo_imports(path, capsys):
     assert capsys.readouterr().out == ""  # importing runs nothing
     module.main()
     assert capsys.readouterr().out.strip()
+
+
+def test_library_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (library)", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme_quick_start"})
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2

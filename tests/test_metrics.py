@@ -9,18 +9,14 @@ import pytest
 from abrlab.metrics import (
     REPORT_COLUMNS,
     RiskReport,
-    audit_rate,
     build_report,
     exceed_ratio,
-    mean_metrics,
     read_report_csv,
-    severe_ratio,
     tail_mean,
-    worst_tail_rebuf,
     write_report_csv,
     write_report_json,
 )
-from abrlab.sim import ChunkOutcome, SessionLog
+from abrlab.sim import ChunkOutcome, SessionLog, session_summary
 
 
 def _outcome(i, qoe=3.0, rebuffer=0.0, audited=False):
@@ -38,6 +34,10 @@ def _log(tid, rebuffer_total=0.0, qoe_total=None, chunks=4, audited=0):
     outcomes = [_outcome(i, qoe=per_qoe, rebuffer=per_rebuf, audited=i < audited)
                 for i in range(chunks)]
     return SessionLog(trace_id=tid, outcomes=outcomes)
+
+
+def _rows(logs):
+    return [session_summary(log) for log in logs]
 
 
 class TestTailMean:
@@ -93,32 +93,28 @@ class TestFleetAggregates:
     def test_mean_metrics(self):
         logs = [_log("a", rebuffer_total=4.0, qoe_total=10.0),
                 _log("b", rebuffer_total=0.0, qoe_total=20.0)]
-        qoe, rebuf = mean_metrics(logs)
-        assert qoe == pytest.approx(15.0)
-        assert rebuf == pytest.approx(2.0)
+        r = build_report("m", _rows(logs))
+        assert r.qoe_mean == pytest.approx(15.0)
+        assert r.rebuf_mean_s == pytest.approx(2.0)
 
     def test_worst_tail_rebuf_picks_heaviest_sessions(self):
         logs = [_log(f"t{i}", rebuffer_total=float(i)) for i in range(40)]
-        assert worst_tail_rebuf(logs, 0.05) == pytest.approx(38.5)
+        assert build_report("m", _rows(logs), tail_fraction=0.05).rebuf_worst5_s == pytest.approx(38.5)
 
     def test_severe_ratio_strict(self):
-        logs = [_log("a", 0.0), _log("b", 5.0), _log("c", 11.0), _log("d", 20.0)]
-        assert severe_ratio(logs, 10.0) == pytest.approx(0.5)
-        assert severe_ratio(logs, 20.0) == pytest.approx(0.0)
+        rows = _rows([_log("a", 0.0), _log("b", 5.0), _log("c", 11.0), _log("d", 20.0)])
+        assert build_report("m", rows, severe_threshold_s=10.0).severe_ratio == pytest.approx(0.5)
+        assert build_report("m", rows, severe_threshold_s=20.0).severe_ratio == pytest.approx(0.0)
 
     def test_audit_rate_counts_changed_chunks(self):
         logs = [_log("a", chunks=4, audited=1), _log("b", chunks=4, audited=3)]
-        assert audit_rate(logs) == pytest.approx(0.5)
+        assert build_report("m", _rows(logs)).audit_rate == pytest.approx(0.5)
 
     def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            mean_metrics([])
-        with pytest.raises(ValueError):
-            worst_tail_rebuf([])
-        with pytest.raises(ValueError):
-            severe_ratio([])
-        with pytest.raises(ValueError):
-            audit_rate([])
+        with pytest.raises(ValueError, match="no sessions"):
+            build_report("m", [])
+        with pytest.raises(ValueError, match="no chunk outcomes"):
+            build_report("m", _rows([SessionLog("a", [])]))
 
 
 class TestBuildReport:
@@ -127,26 +123,26 @@ class TestBuildReport:
 
     def test_fields(self):
         logs = self._logs()
-        r = build_report("demo", logs, v_dec=0.01, overrate_hr=0.2)
+        r = build_report("demo", _rows(logs), v_dec=0.01, overrate_hr=0.2)
         assert r.method == "demo"
         assert r.n_sessions == 20
         assert r.tail_k == 1  # ceil(0.05 * 20)
         assert r.severe_threshold_s == 10.0
-        assert r.qoe_mean == pytest.approx(mean_metrics(logs)[0])
+        assert r.qoe_mean == pytest.approx(np.mean([log.session_qoe for log in logs]))
         assert r.rebuf_worst5_s == pytest.approx(57.0)  # worst single session
         assert r.severe_ratio == pytest.approx(exceed_ratio([3.0 * i for i in range(20)], 10.0))
         assert r.v_dec == 0.01
         assert r.overrate_hr == 0.2
 
     def test_custom_tail_and_threshold(self):
-        r = build_report("demo", self._logs(), tail_fraction=0.25, severe_threshold_s=30.0)
+        r = build_report("demo", _rows(self._logs()), tail_fraction=0.25, severe_threshold_s=30.0)
         assert r.tail_k == 5
         assert r.rebuf_worst5_s == pytest.approx(np.mean([45.0, 48.0, 51.0, 54.0, 57.0]))
         assert r.severe_threshold_s == 30.0
         assert r.severe_ratio == pytest.approx(9 / 20)  # sessions with 33..57 s
 
     def test_decision_fields_default_to_none(self):
-        r = build_report("demo", self._logs())
+        r = build_report("demo", _rows(self._logs()))
         assert r.v_dec is None and r.overrate_hr is None
 
 
@@ -154,8 +150,8 @@ class TestReportSerialization:
     def _reports(self):
         logs_a = [_log(f"a{i}", rebuffer_total=float(i)) for i in range(10)]
         logs_b = [_log(f"b{i}", rebuffer_total=float(2 * i)) for i in range(10)]
-        return [build_report("alpha", logs_a, v_dec=0.0, overrate_hr=0.5),
-                build_report("beta", logs_b)]
+        return [build_report("alpha", _rows(logs_a), v_dec=0.0, overrate_hr=0.5),
+                build_report("beta", _rows(logs_b))]
 
     def test_csv_round_trip(self, tmp_path):
         reports = self._reports()
@@ -206,7 +202,7 @@ class TestReportSerialization:
         # 0.0 is a meaningful value and must not collapse into "missing"
         logs = [_log("a", 0.0)]
         p = tmp_path / "zero.csv"
-        write_report_csv([build_report("m", logs, v_dec=0.0, overrate_hr=0.0)], p)
+        write_report_csv([build_report("m", _rows(logs), v_dec=0.0, overrate_hr=0.0)], p)
         back = read_report_csv(p)[0]
         assert back.v_dec == 0.0
         assert back.overrate_hr == 0.0

@@ -453,8 +453,8 @@ class TestSessionEnv:
             SessionEnv(_const_trace(50e6), _spec(), QoEWeights(), history_len=0)
 
     def test_returned_histories_never_change(self):
-        # The env shifts its history in place; every state it returned keeps
-        # the history it had when returned, and each step shifts in one sample.
+        # Every state the env returned keeps the history it had when
+        # returned, and each step shifts in one sample.
         env = SessionEnv(synthesize_trace(SynthConfig(duration_s=600, seed=83)), _spec(), QoEWeights(),
                          history_len=4)
         rng = np.random.default_rng(89)
@@ -471,6 +471,20 @@ class TestSessionEnv:
             for s, snap in zip(states, snapshots):
                 assert np.array_equal(s.throughput_history, snap)
         assert len(states) == 48
+
+    def test_state_is_the_last_returned_and_read_only(self):
+        env = SessionEnv(_const_trace(50e6), _spec(num_chunks=2), QoEWeights(), history_len=3)
+        first = env.reset()
+        assert env.state is first
+        with pytest.raises(ValueError):
+            first.throughput_history[-1] = 1.0  # a policy writing into its input fails
+        second, _, done = env.step(0)
+        assert env.state is second and not done
+        assert np.array_equal(first.throughput_history, np.zeros(3))
+        assert not second.throughput_history.flags.writeable
+        last, _, done = env.step(0)
+        assert last is None and done
+        assert env.state is second  # the clock is not read after the session ends
 
 
 class TestSerialization:

@@ -140,6 +140,21 @@ class TestRoundTrip:
         write_trace(back, tmp_path)
         assert p.read_bytes() == first
 
+    def test_fractional_epoch_times_round_trip(self, tmp_path):
+        # An ingested trace may keep fractional epoch-second times; a write
+        # that rounded them would shift every sample off its handovers.
+        t0 = 1700000000.25
+        tr = ThroughputTrace("epoch", t0 + np.arange(600.0), np.full(600, 20e6), [t0 + 598.9])
+        write_trace(tr, tmp_path)
+        back = ingest_trace(tmp_path / "epoch.csv")
+        assert np.array_equal(back.times_s, tr.times_s)
+        assert np.array_equal(back.handover_times_s, tr.handover_times_s)
+
+    def test_integer_times_are_written_bare(self, tmp_path):
+        p = write_trace(synthesize_trace(SynthConfig(duration_s=5, seed=5), "rt"), tmp_path)
+        assert [line.split(",")[0] for line in p.read_text().splitlines()] == \
+            ["time_s", "0", "1", "2", "3", "4"]
+
 
 class TestSynthesis:
     def test_same_seed_is_bit_identical(self):
@@ -305,6 +320,13 @@ class TestHandoverHeavySubset:
         only = _flat_trace("small", np.array([5.0, 6.0]))
         picked = handover_heavy_subset([tr, only], window_s=300.0, top_fraction=0.5)
         assert picked == ["small"]  # 2 events inside the window beats 1
+
+    def test_window_starts_at_each_traces_first_sample(self):
+        def late(tid, handovers):  # sampled from t = 1000 on
+            return ThroughputTrace(tid, 1000.0 + np.arange(400.0), np.full(400, 20e6), 1000.0 + handovers)
+
+        traces = [late("a-one", np.array([5.0])), late("b-twenty", 7.0 * np.arange(20))]
+        assert handover_heavy_subset(traces, window_s=300.0, top_fraction=0.5) == ["b-twenty"]
 
     def test_groups_select_per_group(self):
         traces = [
