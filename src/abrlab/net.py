@@ -38,23 +38,38 @@ def feature_dim(history_len: int, num_rungs: int) -> int:
     return history_len + num_rungs + 3
 
 
-def featurize(state: PlayerState, spec: VideoSpec, fc: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Observation vector, everything scaled to roughly [0, 1].
+def featurize(states: PlayerState | Sequence[PlayerState], spec: VideoSpec,
+              fc: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Observation vector of one state, or an (n, d) matrix with one row per
+    state; everything scaled to roughly [0, 1].
 
     Layout: [buffer fill, previous rung rate / top rate,
              the state's whole throughput history (oldest first) / scale,
              remaining-chunk fraction, per-rung next chunk sizes / top size].
+    Each row is filled with the raw values, then divided by `_feature_scale`.
     """
-    hist = np.asarray(state.throughput_history, dtype=np.float64)
-    k = hist.size
-    rates = np.asarray(state.ladder_kbps, dtype=np.float64)
-    out = np.empty(feature_dim(k, rates.size))
-    out[0] = state.buffer_s / spec.buffer_max_s
-    out[1] = rates[state.prev_rung] / rates[-1]
-    out[2 : 2 + k] = hist / fc.throughput_scale_bps
-    out[2 + k] = state.remaining_chunks / spec.num_chunks
-    out[3 + k :] = state.next_chunk_sizes / nominal_top_rung_bytes(spec)
-    return out
+    one = isinstance(states, PlayerState)
+    batch = [states] if one else states
+    k, ladder = len(batch[0].throughput_history), batch[0].ladder_kbps
+    out = np.empty((len(batch), feature_dim(k, len(ladder))))
+    for row, s in zip(out, batch):
+        row[0] = s.buffer_s
+        row[1] = ladder[s.prev_rung]
+        row[2 : 2 + k] = s.throughput_history
+        row[2 + k] = s.remaining_chunks
+        row[3 + k :] = s.next_chunk_sizes
+    out /= _feature_scale(spec, fc, k, ladder)
+    return out[0] if one else out
+
+
+@functools.lru_cache(maxsize=None)
+def _feature_scale(spec: VideoSpec, fc: FeatureConfig, k: int, ladder: tuple[int, ...]) -> np.ndarray:
+    """The divisor of each feature column: buffer cap, top rate, throughput
+    scale, chunk count, top nominal chunk size."""
+    scale = np.array([spec.buffer_max_s, ladder[-1], *(fc.throughput_scale_bps,) * k, spec.num_chunks,
+                      *(nominal_top_rung_bytes(spec),) * len(ladder)], dtype=np.float64)
+    scale.setflags(write=False)
+    return scale
 
 
 @dataclass(frozen=True)
@@ -168,10 +183,18 @@ def backward(net: PolicyNet, x: np.ndarray, dlogits: np.ndarray, dvalue: np.ndar
     return grad
 
 
-def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw; deterministic given the generator state."""
-    u = rng.random()
-    return int(min(np.searchsorted(np.cumsum(probs), u, side="right"), probs.size - 1))
+def sample_action(probs: np.ndarray, rng: np.random.Generator):
+    """Inverse-CDF draw, deterministic given the generator state. A 1-D
+    `probs` gives one action; an (n, A) matrix gives n, one uniform per row
+    from a single `rng.random(n)`. A row's action is the count of its
+    cumulative probabilities at or below u, clamped to A - 1 (a row may sum
+    to just below u). The sums never decrease, so counting among the first
+    A - 1 of them is that clamp."""
+    probs = np.asarray(probs)
+    rows = probs[None] if probs.ndim == 1 else probs
+    u = rng.random(len(rows))
+    picks = (rows.cumsum(axis=1)[:, :-1] <= u[:, None]).sum(axis=1)
+    return int(picks[0]) if probs.ndim == 1 else picks
 
 
 def greedy_action(probs: np.ndarray) -> int:
@@ -292,7 +315,7 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyNet, dict]:
 def make_greedy_policy(net: PolicyNet, spec: VideoSpec, fc: FeatureConfig = FeatureConfig()):
     """Most probable rung per state; `decide.batch` decides many states in one forward."""
     def batch(states: Sequence[PlayerState]) -> np.ndarray:
-        probs, _ = forward(net, np.stack([featurize(s, spec, fc) for s in states]))
+        probs, _ = forward(net, featurize(states, spec, fc))
         return np.argmax(probs, axis=1)  # ties go to the lower rung, as in greedy_action
 
     def decide(state: PlayerState) -> int:

@@ -40,8 +40,9 @@ class PpoConfig:
 
     def __post_init__(self):
         # 0 steps or streams: an update collects nothing and finetune never
-        # ends; 0 rows per minibatch: the update fails inside its loop
-        for name in ("n_steps", "n_envs", "minibatch_size"):
+        # ends; 0 rows per minibatch: the update fails inside its loop; 0
+        # epochs: no update runs and the clone is saved as the tuned policy
+        for name in ("n_steps", "n_envs", "minibatch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -52,6 +53,17 @@ class CvarConfig:
     penalty_weight: float = 20.0  # 0 disables shaping entirely
     budget_s: float = 0.0
     window: int = 512             # episodes of rebuffer history for the quantile
+
+    def __post_init__(self):
+        # checked at load, not by the first update's quantile or hinge
+        if not (0.0 < self.alpha < 1.0):
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.window < 1:
+            raise ValueError(f"window must be at least 1, got {self.window}")
+        if not (math.isfinite(self.penalty_weight) and self.penalty_weight >= 0.0):
+            raise ValueError(f"penalty_weight must be finite and non-negative, got {self.penalty_weight}")
+        if not math.isfinite(self.budget_s):
+            raise ValueError(f"budget_s must be finite, got {self.budget_s}")
 
 
 def empirical_cvar(values, alpha: float) -> tuple[float, float]:
@@ -214,16 +226,14 @@ class _RunningReturnStd:
         self.count = 1e-4
 
     def normalize(self, reward: float, env: int, done: bool) -> float:
-        self.ret[env] = self.gamma * self.ret[env] + reward
-        batch_mean, batch_var = self.ret[env], 0.0
-        delta = batch_mean - self.mean
+        ret = self.gamma * float(self.ret[env]) + reward
+        delta = ret - self.mean
         tot = self.count + 1.0
         self.mean += delta / tot
-        self.var = (self.var * self.count + batch_var + delta * delta * self.count / tot) / tot
+        self.var = (self.var * self.count + delta * delta * self.count / tot) / tot
         self.count = tot
-        if done:
-            self.ret[env] = 0.0
-        return float(np.clip(reward / np.sqrt(self.var + 1e-8), -self.clip, self.clip))
+        self.ret[env] = 0.0 if done else ret
+        return min(max(reward / math.sqrt(self.var + 1e-8), -self.clip), self.clip)
 
 
 class RolloutCollector:
@@ -290,9 +300,10 @@ def finetune(
         shaped = shape_terminal_rewards(batch, cvar, list(rolling))
         raw_rewards = batch.rewards
         norm = np.empty_like(shaped.rewards)
+        rewards, dones = shaped.rewards.tolist(), shaped.dones.tolist()
         for e, (lo, hi) in enumerate(shaped.env_slices):
             for t in range(lo, hi):
-                norm[t] = scaler.normalize(shaped.rewards[t], e, bool(shaped.dones[t]))
+                norm[t] = scaler.normalize(rewards[t], e, dones[t])
         shaped = replace(shaped, rewards=norm)
         shaped = gae_advantages(shaped, ppo.gamma, ppo.gae_lambda)
         stats = ppo_update(net, shaped, ppo, opt, rng, update)

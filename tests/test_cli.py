@@ -385,6 +385,15 @@ class TestErrorPaths:
         assert "gen-traces" in err
         assert "count" in err
 
+    @pytest.mark.parametrize("section, values", [
+        ("cvar", {"window": 0}), ("cvar", {"alpha": 1.0}), ("ppo", {"epochs": 0}),
+    ], ids=["cvar.window", "cvar.alpha", "ppo.epochs"])
+    def test_bad_training_config_stops_the_first_stage(self, tmp_path, capsys, section, values):
+        cfg = _write_cfg(tmp_path / "exp.yaml", traces={"count": 4, "duration_s": 120}, **{section: values})
+        assert main(["gen-traces", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert next(iter(values)) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_stage_order_is_enforced(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "exp.yaml", traces={"count": 4, "duration_s": 120})
         run = tmp_path / "run"

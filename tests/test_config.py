@@ -198,12 +198,33 @@ class TestValidation:
         ("ppo", {"n_envs": 0}),
         ("ppo", {"n_steps": 0}),
         ("ppo", {"minibatch_size": 0}),
+        # 0 epochs: finetune exited 0 and saved the clone as the tuned policy
+        ("ppo", {"epochs": 0}),
+        # an empty rolling window: finetune failed at its first shaped update
+        ("cvar", {"window": 0}),
     ], ids=["mpc.horizon", "mpc.history_len", "mpc.history_len-plain", "bc.expert_horizon",
-            "ppo.n_envs", "ppo.n_steps", "ppo.minibatch_size"])
+            "ppo.n_envs", "ppo.n_steps", "ppo.minibatch_size", "ppo.epochs", "cvar.window"])
     def test_count_below_one_rejected_at_load(self, section, values):
         key = next(iter(values))
         with pytest.raises(ValueError, match=rf"{key} must be at least 1"):
             config_from_dict({section: values})
+
+    @pytest.mark.parametrize("values, match", [
+        # gen-traces and pretrain ran, then finetune failed at its first update
+        ({"alpha": 1.0}, r"alpha must lie in \(0, 1\)"),
+        ({"alpha": 0.0}, r"alpha must lie in \(0, 1\)"),
+        ({"penalty_weight": -1.0}, "penalty_weight must be finite and non-negative"),
+        ({"penalty_weight": float("inf")}, "penalty_weight must be finite and non-negative"),
+        ({"budget_s": float("nan")}, "budget_s must be finite"),
+    ], ids=["alpha-1", "alpha-0", "negative-weight", "inf-weight", "nan-budget"])
+    def test_bad_cvar_rejected_at_load(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            config_from_dict({"cvar": values})
+
+    def test_penalty_override_passes_the_cvar_check(self):
+        with pytest.raises(ValueError, match="penalty_weight must be finite and non-negative"):
+            with_overrides(ExperimentConfig(), penalty_weight=-2.0)
+        assert with_overrides(ExperimentConfig(), penalty_weight=0.0).cvar.penalty_weight == 0.0
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValueError, match="top-level"):

@@ -26,8 +26,8 @@ from abrlab.net import (
     save_checkpoint,
     softmax,
 )
-from abrlab.sim import PlayerState, QoEWeights, SessionEnv, VideoSpec, chunk_sizes
-from abrlab.traces import ThroughputTrace
+from abrlab.sim import PlayerState, QoEWeights, SessionEnv, VideoSpec, chunk_sizes, nominal_top_rung_bytes
+from abrlab.traces import SynthConfig, ThroughputTrace, synthesize_trace
 
 
 def _state(spec, buffer_s=4.0, prev=0, hist=(), chunk_index=0):
@@ -91,6 +91,35 @@ class TestFeaturize:
         spec = VideoSpec()
         x = featurize(_state(spec, buffer_s=20.0, prev=3, hist=(50e6, 80e6), chunk_index=10), spec)
         assert np.all(np.abs(x) <= 1.5)
+
+
+    def test_batch_equals_stacked_one_state_rows(self):
+        # states from several sessions, each starting with a zero-padded
+        # history, checked against the layout written out element by element
+        spec, fc = VideoSpec(num_chunks=12), FeatureConfig(throughput_scale_bps=150e6)
+        states = []
+        for seed in (1, 2, 3):
+            env = SessionEnv(synthesize_trace(SynthConfig(duration_s=300, seed=seed), f"f{seed}"),
+                             spec, QoEWeights(), history_len=8)
+            state = env.reset()
+            while state is not None:
+                states.append(state)
+                state, _, _ = env.step((state.chunk_index * seed) % 6)
+        assert not np.any(states[0].throughput_history)
+        assert np.any(states[3].throughput_history == 0.0) and np.any(states[3].throughput_history)
+
+        def reference(s):
+            top = s.ladder_kbps[-1]
+            return np.array([s.buffer_s / spec.buffer_max_s, s.ladder_kbps[s.prev_rung] / top,
+                             *(s.throughput_history / fc.throughput_scale_bps),
+                             s.remaining_chunks / spec.num_chunks,
+                             *(s.next_chunk_sizes / nominal_top_rung_bytes(spec))])
+
+        batch = featurize(states, spec, fc)
+        assert batch.shape == (len(states), feature_dim(8, 6))
+        assert np.array_equal(batch, np.stack([featurize(s, spec, fc) for s in states]))
+        assert np.array_equal(batch, np.stack([reference(s) for s in states]))
+        assert np.array_equal(featurize(states[5:6], spec, fc), batch[5:6])
 
 
 class TestForward:
@@ -195,6 +224,56 @@ class TestSampling:
         states = [_state(spec, buffer_s=b, hist=(40e6,)) for b in (5.0, 30.0)]
         policy = make_greedy_policy(net, spec)
         assert list(policy.batch(states)) == [policy(s) for s in states] == [1, 1]
+
+
+class _FixedUniforms:
+    """Stands in for a Generator: hands out the given uniforms in order."""
+
+    def __init__(self, us):
+        self.us = list(us)
+
+    def random(self, size=None):
+        if size is None:
+            return self.us.pop(0)
+        out, self.us = np.array(self.us[:size]), self.us[size:]
+        return out
+
+
+def _searchsorted_draw(probs, rng):
+    """The one-row inverse-CDF draw in its searchsorted form."""
+    u = rng.random()
+    return int(min(np.searchsorted(np.cumsum(probs), u, side="right"), probs.size - 1))
+
+
+class TestBatchedSampling:
+    def test_rows_equal_one_row_draws_from_the_same_generator_state(self):
+        gen = np.random.default_rng(8)
+        probs = gen.dirichlet(np.ones(6), size=200)
+        probs[::3, 0] = 0.0
+        probs[1::4, 5] = 0.0
+        rows, ones, ref = (np.random.default_rng(21) for _ in range(3))
+        picks = sample_action(probs, rows)
+        assert picks.shape == (200,)
+        assert picks.tolist() == [sample_action(p, ones) for p in probs]
+        assert picks.tolist() == [_searchsorted_draw(p, ref) for p in probs]
+        assert rows.random() == ones.random() == ref.random()
+
+    @pytest.mark.parametrize("probs, us, want", [
+        # zero-probability rungs are never drawn, not even at u = 0
+        ([0.0, 0.5, 0.0, 0.5], [0.0, 0.4999, 0.5, 0.9999], [1, 1, 3, 3]),
+        # a row summing to 1 - 1e-12 clamps a draw above its sum to the top rung
+        ([0.2 * (1 - 1e-12), 0.3 * (1 - 1e-12), 0.5 * (1 - 1e-12)], [1 - 1e-13, 0.1], [2, 0]),
+        # a draw exactly on a cumulative boundary goes to the next rung
+        ([0.25, 0.25, 0.5], [0.25, 0.5, 0.0], [1, 2, 0]),
+    ], ids=["zero-rungs", "short-sum", "boundary"])
+    def test_edge_rows(self, probs, us, want):
+        probs = np.array(probs)
+        matrix = np.tile(probs, (len(us), 1))
+        assert sample_action(matrix, _FixedUniforms(us)).tolist() == want
+        one_row = _FixedUniforms(us)
+        assert [sample_action(probs, one_row) for _ in us] == want
+        searchsorted = _FixedUniforms(us)
+        assert [_searchsorted_draw(probs, searchsorted) for _ in us] == want
 
 
 def _fd_gradient(loss_fn, params, eps=1e-6):
