@@ -120,8 +120,8 @@ def _collect_labeled_states(
     # quota is reached, and its states so far are labeled then.
     feats, visited = [], []
     labels = np.empty(cfg.rollout_steps, dtype=int)
-    for n, step in enumerate(islice(sampled_steps(net, traces, spec, w, fc, rng, history_len),
-                                    cfg.rollout_steps), 1):
+    for n, (step,) in enumerate(islice(sampled_steps(net, traces, spec, w, fc, rng, history_len),
+                                       cfg.rollout_steps), 1):
         feats.append(step.features)
         visited.append(step.state)
         if step.log is not None or n == cfg.rollout_steps:

@@ -5,7 +5,8 @@ scalar value head. Parameters live in one flat float64 vector; layers are
 views into it, which keeps the optimizer and checkpoint format trivial.
 No autodiff anywhere; `backward` is the analytic chain rule and is verified
 against central finite differences in the tests. `sampled_steps` is the one
-on-policy rollout: DAgger and PPO both draw their sessions from it.
+on-policy rollout: PPO steps its streams through it in lockstep, and DAgger
+takes it with one stream.
 """
 
 from __future__ import annotations
@@ -217,23 +218,34 @@ class SampledStep(NamedTuple):
 
 
 def sampled_steps(net: PolicyNet, traces: Sequence[ThroughputTrace], spec: VideoSpec, w: QoEWeights,
-                  fc: FeatureConfig, rng: np.random.Generator, history_len: int) -> Iterator[SampledStep]:
-    """Endless on-policy steps: draw a trace, then featurize, forward, sample
-    and step until the session ends, then draw the next trace. Lazy: `rng` is
-    drawn from only as steps are pulled (a trace with each session's first
-    step, one uniform per step), and each step reads `net` as it is then."""
+                  fc: FeatureConfig, rng: np.random.Generator, history_len: int,
+                  n_streams: int = 1) -> Iterator[list[SampledStep]]:
+    """Endless on-policy rounds over `n_streams` sessions stepped in lockstep.
+
+    A round refills, in stream order, each stream whose session ended with a
+    trace drawn from `rng`; featurizes every stream's state into one matrix
+    for one `forward`; draws one uniform per stream (`sample_action`); steps
+    each session; and yields the streams' steps as a list. Lazy: `rng` is
+    drawn from only as rounds are pulled, and each round reads `net` as it is
+    then. One stream is the session-by-session rollout, draw for draw.
+    """
+    envs: list[SessionEnv | None] = [None] * n_streams
     while True:
-        trace = traces[int(rng.integers(len(traces)))]
-        env = SessionEnv(trace, spec, w, history_len=history_len)
-        state, done = env.reset(), False
-        while not done:
-            x = featurize(state, spec, fc)
-            probs, value = forward(net, x)
-            action = sample_action(probs, rng)
+        for i, env in enumerate(envs):
+            if env is None:
+                envs[i] = SessionEnv(traces[int(rng.integers(len(traces)))], spec, w, history_len=history_len)
+        states = [env.state for env in envs]
+        x = featurize(states, spec, fc)
+        probs, values = forward(net, x)
+        actions = sample_action(probs, rng).tolist()
+        steps = []
+        for i, (env, state, action) in enumerate(zip(envs, states, actions)):
             next_state, outcome, done = env.step(action)
-            yield SampledStep(trace, state, x, probs, value, action, next_state, outcome,
-                              env.finish() if done else None)
-            state = next_state
+            steps.append(SampledStep(env.trace, state, x[i], probs[i], float(values[i]), action,
+                                     next_state, outcome, env.finish() if done else None))
+            if done:
+                envs[i] = None
+        yield steps
 
 
 class Adam:

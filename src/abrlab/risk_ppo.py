@@ -4,8 +4,9 @@ Rewards are the per-chunk QoE. At each episode's terminal step a hinge
 penalty proportional to how far the episode's total rebuffering exceeds the
 rolling tail quantile is subtracted, which pushes optimization pressure onto
 the worst episodes instead of the average one. Rollouts are `net.sampled_steps`
-streams, as in DAgger; the rest (advantages, the clipped surrogate, reward
-normalization) is the standard recipe, hand-rolled on numpy.
+streams stepped in lockstep (DAgger takes the same rollout with one stream);
+the rest (advantages, the clipped surrogate, reward normalization) is the
+standard recipe, hand-rolled on numpy.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ class PpoConfig:
     def __post_init__(self):
         # 0 steps or streams: an update collects nothing and finetune never
         # ends; 0 rows per minibatch: the update fails inside its loop; 0
-        # epochs: no update runs and the clone is saved as the tuned policy
-        for name in ("n_steps", "n_envs", "minibatch_size", "epochs"):
+        # epochs or total steps: no update runs and the clone is saved as the
+        # tuned policy
+        for name in ("total_steps", "n_steps", "n_envs", "minibatch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
@@ -237,20 +239,21 @@ class _RunningReturnStd:
 
 
 class RolloutCollector:
-    """Round-robin driver for several persistent `sampled_steps` streams: an
-    episode cut by the end of one batch carries on in the next."""
+    """Drives one `sampled_steps` rollout of `n_envs` lockstep streams: an
+    episode cut by the end of one batch carries on in the next. The batch is
+    laid out env-major, each stream's `n_steps` steps in a row."""
 
     def __init__(self, net: PolicyNet, traces: list[ThroughputTrace], spec: VideoSpec,
                  w: QoEWeights, ppo: PpoConfig, fc: FeatureConfig,
                  rng: np.random.Generator, history_len: int = 8):
-        self.net, self.spec, self.fc, self.n_steps = net, spec, fc, ppo.n_steps
-        self._streams = [sampled_steps(net, traces, spec, w, fc, rng, history_len)
-                         for _ in range(ppo.n_envs)]
+        self.net, self.spec, self.fc = net, spec, fc
+        self.n_steps, self.n_envs = ppo.n_steps, ppo.n_envs
+        self._rounds = sampled_steps(net, traces, spec, w, fc, rng, history_len, ppo.n_envs)
 
     def collect(self) -> RolloutBatch:
         n_steps = self.n_steps
-        steps = [step for stream in self._streams for step in islice(stream, n_steps)]
-        bootstraps = np.zeros(len(self._streams))
+        steps = [step for stream in zip(*islice(self._rounds, n_steps)) for step in stream]
+        bootstraps = np.zeros(self.n_envs)
         for e, last in enumerate(steps[n_steps - 1 :: n_steps]):
             if last.log is None:  # the stream's episode goes on: value its next state
                 _, bootstraps[e] = forward(self.net, featurize(last.next_state, self.spec, self.fc))

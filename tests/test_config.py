@@ -198,12 +198,15 @@ class TestValidation:
         ("ppo", {"n_envs": 0}),
         ("ppo", {"n_steps": 0}),
         ("ppo", {"minibatch_size": 0}),
-        # 0 epochs: finetune exited 0 and saved the clone as the tuned policy
+        # 0 epochs or total steps: finetune exited 0 and saved the clone as
+        # the tuned policy
         ("ppo", {"epochs": 0}),
+        ("ppo", {"total_steps": 0}),
         # an empty rolling window: finetune failed at its first shaped update
         ("cvar", {"window": 0}),
     ], ids=["mpc.horizon", "mpc.history_len", "mpc.history_len-plain", "bc.expert_horizon",
-            "ppo.n_envs", "ppo.n_steps", "ppo.minibatch_size", "ppo.epochs", "cvar.window"])
+            "ppo.n_envs", "ppo.n_steps", "ppo.minibatch_size", "ppo.epochs", "ppo.total_steps",
+            "cvar.window"])
     def test_count_below_one_rejected_at_load(self, section, values):
         key = next(iter(values))
         with pytest.raises(ValueError, match=rf"{key} must be at least 1"):

@@ -400,13 +400,55 @@ class TestFinetune:
         assert not np.array_equal(before, tuned.params)
 
 
+def _episode(index, log):
+    return EpisodeInfo(index, log.session_rebuffer_s, log.session_qoe,
+                       len(log.outcomes) + int(log.truncated), log.truncated)
+
+
 def _reference_collect(net, traces, spec, w, ppo, fc, rng, history_len, streams):
-    """The per-stream round-robin rollout loop, written out step by step.
+    """The lockstep rollout loop, written out round by round.
 
     `streams` holds each env stream's (env, state) across calls, None until
-    the stream first steps and after each episode ends, so that a new trace
-    is drawn only when its stream next needs a step.
+    the stream first steps and after each episode ends. A round refills the
+    empty streams in stream order, featurizes and forwards all streams at
+    once, draws one uniform per stream and steps each. The batch is then laid
+    out env-major: each stream's n_steps steps in a row.
     """
+    from abrlab.imitation import PROB_FLOOR
+    from abrlab.net import featurize
+    from abrlab.sim import SessionEnv
+
+    rows = [[] for _ in range(ppo.n_envs)]
+    for _ in range(ppo.n_steps):
+        for e in range(ppo.n_envs):
+            if streams[e] is None:
+                env = SessionEnv(traces[int(rng.integers(len(traces)))], spec, w, history_len=history_len)
+                streams[e] = (env, env.reset())
+        x = np.stack([featurize(state, spec, fc) for _, state in streams])
+        probs, values = forward(net, x)
+        us = rng.random(ppo.n_envs)
+        for e, (env, _) in enumerate(streams):
+            a = int(min(np.searchsorted(np.cumsum(probs[e]), us[e], side="right"), probs.shape[1] - 1))
+            next_state, outcome, done = env.step(a)
+            rows[e].append((x[e], a, float(np.log(max(probs[e][a], PROB_FLOOR))),
+                            0.0 if outcome is None else outcome.qoe, float(values[e]), done,
+                            env.finish() if done else None))
+            streams[e] = None if done else (env, next_state)
+    steps = [row for stream in rows for row in stream]
+    bootstraps = np.zeros(ppo.n_envs)
+    for e in range(ppo.n_envs):
+        if streams[e] is not None:
+            _, bootstraps[e] = forward(net, featurize(streams[e][1], spec, fc))
+    feats, actions, logprobs, rewards, values, dones, logs = zip(*steps)
+    return RolloutBatch(np.array(feats), np.array(actions), np.array(logprobs), np.array(rewards),
+                        np.array(values), np.array(dones),
+                        [(lo, lo + ppo.n_steps) for lo in range(0, len(steps), ppo.n_steps)], bootstraps,
+                        [_episode(i, log) for i, log in enumerate(logs) if log is not None])
+
+
+def _env_major_reference_collect(net, traces, spec, w, ppo, fc, rng, history_len, streams):
+    """Each stream stepped alone for its n_steps, one stream after another.
+    With one stream this is the lockstep loop too."""
     from abrlab.imitation import PROB_FLOOR
     from abrlab.net import featurize, sample_action
     from abrlab.sim import SessionEnv
@@ -431,9 +473,7 @@ def _reference_collect(net, traces, spec, w, ppo, fc, rng, history_len, streams)
             rewards.append(0.0 if outcome is None else outcome.qoe)
             dones.append(done)
             if done:
-                log = env.finish()
-                episodes.append(EpisodeInfo(len(actions) - 1, log.session_rebuffer_s, log.session_qoe,
-                                            len(log.outcomes) + int(log.truncated), log.truncated))
+                episodes.append(_episode(len(actions) - 1, env.finish()))
                 streams[e] = None
             else:
                 streams[e] = (env, next_state)
@@ -445,33 +485,43 @@ def _reference_collect(net, traces, spec, w, ppo, fc, rng, history_len, streams)
 
 
 class TestRolloutCollector:
-    def test_matches_the_per_stream_reference_loop_across_batches(self):
+    @staticmethod
+    def _check_against(reference, n_envs):
         # 10-chunk sessions and 7 steps per stream: episodes straddle batch
         # boundaries. The 24-s trace runs out mid-session, so some episodes end
         # truncated. Between batches the generator is drawn from and the net
         # moves, as an update would do; both sides see the same.
         spec = VideoSpec(num_chunks=10)
         traces = _train_traces() + [synthesize_trace(SynthConfig(duration_s=24, seed=950), "short")]
-        ppo = PpoConfig(n_steps=7, n_envs=3)
+        ppo = PpoConfig(n_steps=7, n_envs=n_envs)
         fc = FeatureConfig()
         net = init_policy_net(NetConfig(17, 6, hidden=(16, 16)), 4)
         ref_net = net.copy()
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         collector = RolloutCollector(net, traces, spec, QoEWeights(), ppo, fc, rng)
         streams = [None] * ppo.n_envs
-        truncated = 0
-        for k in range(5):
+        truncated = straddling = 0
+        for k in range(30 // n_envs):
             got = collector.collect()
-            want = _reference_collect(ref_net, traces, spec, QoEWeights(), ppo, fc, ref_rng, 8, streams)
+            want = reference(ref_net, traces, spec, QoEWeights(), ppo, fc, ref_rng, 8, streams)
             for name in ("features", "actions", "logprobs", "rewards", "values", "dones",
                          "bootstrap_values"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (k, name)
-            assert got.env_slices == want.env_slices
+            assert got.env_slices == want.env_slices == [(7 * e, 7 * e + 7) for e in range(n_envs)]
             assert got.episodes == want.episodes
             truncated += sum(ep.truncated for ep in got.episodes)
+            straddling += sum(ep.length > ep.terminal_index % 7 + 1 for ep in got.episodes)
             nudge = rng.normal(0.0, 0.3, net.size)
             ref_rng.normal(0.0, 0.3, net.size)
             net.params += nudge
             ref_net.params += nudge
         assert truncated > 0
+        assert straddling > 0
         assert rng.random() == ref_rng.random()
+
+    def test_matches_the_lockstep_reference_loop_across_batches(self):
+        self._check_against(_reference_collect, n_envs=3)
+
+    def test_matches_the_per_stream_reference_loop_across_batches(self):
+        # with one stream the lockstep and the env-major orders coincide
+        self._check_against(_env_major_reference_collect, n_envs=1)
