@@ -9,10 +9,10 @@ lower bound says can actually download before the buffer runs dry.
 Run from the repo root:  python demos/05_calibrate_and_audit.py
 """
 
-from abrlab.auditor import AuditConfig, make_auditor, make_oracle_auditor
+from abrlab.auditor import AuditConfig, make_auditor
 from abrlab.capacity import (LowerBoundPredictor, PointPredictor, PredictorConfig,
-                             calibrate_lower_bound, coverage_miss_rate,
-                             evaluate_predictor_decisions)
+                             calibrate_lower_bound, candidate_auditors, coverage_miss_rate,
+                             decision_scores, replay)
 from abrlab.policies import make_rate_rule_policy
 from abrlab.sim import QoEWeights, VideoSpec, run_session
 from abrlab.traces import SynthConfig, synthesize_trace
@@ -39,16 +39,11 @@ def main():
     # candidate is an auditor factory, and the oracle screens with hindsight
     policy = make_rate_rule_policy()
     audit = AuditConfig(guard_s=0.0, capacity_margin=0.90)
-    candidates = {
-        "point": lambda trace, a: make_auditor(point, a),
-        "lower-bound": lambda trace, a: make_auditor(lower, a),
-        "oracle": make_oracle_auditor,
-    }
-    for name, auditor_for in candidates.items():
-        res = evaluate_predictor_decisions(name, auditor_for, audit, policy, test, spec, w)
-        print(f"{name:12s} violation rate {res.v_dec:.4f}  "
-              f"high-risk overrate {res.overrate_hr:.4f}  "
-              f"({res.n_admitted} admitted decisions)")
+    for name, auditor_for in candidate_auditors(cfg, result.scale).items():
+        report, _, logs = replay(name, policy, test, spec, w, auditor_for, audit)
+        print(f"{name:12s} violation rate {report.v_dec:.4f}  "
+              f"high-risk overrate {report.overrate_hr:.4f}  "
+              f"({decision_scores(logs, audit.guard_s)[3]} admitted decisions)")
 
     # watch the auditor work on a single risky session
     aud = make_auditor(lower, audit)

@@ -10,11 +10,10 @@ safe-capacity forecasting (`capacity`), a runtime action auditor
 
 from .auditor import (AuditConfig, AuditDecision, audit_action, decision_violation,
                       feasible_set, make_auditor, make_oracle_auditor)
-from .capacity import (PREDICTOR_CANDIDATES, CalibrationResult, DecisionEvalResult,
-                       LowerBoundPredictor, PointPredictor, PredictorConfig, calibrate_lower_bound,
-                       calibration_ratios, coverage_miss_rate, decision_scores,
-                       evaluate_predictor_decisions, high_risk_overrate, lower_quantile,
-                       point_predict, realized_target, violation_rate)
+from .capacity import (PREDICTOR_CANDIDATES, CalibrationResult, LowerBoundPredictor, PointPredictor,
+                       PredictorConfig, calibrate_lower_bound, calibration_ratios, candidate_auditors,
+                       coverage_miss_rate, decision_scores, high_risk_overrate, lower_quantile,
+                       point_predict, realized_target, replay, violation_rate)
 from .config import (ExperimentConfig, config_from_dict, config_to_dict, load_config,
                      save_config, with_overrides)
 from .imitation import (BcConfig, ImitationDataset, dagger_round, expert_agreement,

@@ -9,12 +9,12 @@ only ever moves requests down, so it can cap tail risk but never adds it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .policies import bulk_download_times, trace_cumulative_bytes
-from .sim import PlayerState
+from .sim import PlayerState, TraceExhaustedError, download_chunk
 from .traces import ThroughputTrace
 
 _EMPTY = np.zeros(0, dtype=int)
@@ -112,30 +112,29 @@ def make_auditor(predictor, cfg: AuditConfig = AuditConfig()):
 def make_oracle_auditor(trace: ThroughputTrace, cfg: AuditConfig = AuditConfig(capacity_margin=1.0)):
     """Diagnostic auditor that screens with each rung's true realized capacity.
 
-    Feasibility uses exact future download times (equivalent to plugging the
-    realized per-rung capacity into the screening inequality), so any
-    admitted action is violation-free by construction. The logged prediction
-    is the executed rung's realized capacity. The margin is not applied: the
-    oracle has nothing to hedge.
+    Each rung is downloaded ahead by the session's own `download_chunk` and
+    judged by the `decision_violation` that later scores it, so an admitted
+    action never violates, to the last bit; a download that would outrun the
+    trace is infeasible. The logged prediction is the executed rung's
+    realized capacity. The margin is not applied: the oracle has nothing to
+    hedge.
     """
-    cum = trace_cumulative_bytes(trace)
-    bps = trace.throughput_bps
-    t0 = float(trace.times_s[0])
+
+    def realized_bps(start_s: float, size: float) -> float:  # NaN if the download outruns the trace
+        try:
+            return download_chunk(trace, start_s, size)[1]
+        except TraceExhaustedError:
+            return math.nan
 
     def auditor(state: PlayerState, history_bps: np.ndarray, raw_rung: int):
-        sizes = np.asarray(state.next_chunk_sizes, dtype=np.float64)
-        starts = np.full(sizes.size, state.wall_time_s)
-        d = bulk_download_times(cum, bps, t0, starts, sizes)
-        budget = state.buffer_s - cfg.guard_s
-        feasible = np.nonzero(d <= budget)[0] if budget > 0.0 else _EMPTY
+        sizes = [float(size) for size in state.next_chunk_sizes]
+        realized = [realized_bps(state.wall_time_s, size) for size in sizes]
+        feasible = np.array([a for a, (size, c) in enumerate(zip(sizes, realized))
+                             if not (math.isnan(c) or decision_violation(size, c, state.buffer_s, cfg.guard_s))],
+                            dtype=int)
         safe, intervened = audit_action(raw_rung, feasible)
-        realized = 8.0 * sizes[safe] / d[safe]
-        return AuditDecision(
-            raw_rung, safe, intervened,
-            fallback=feasible.size == 0,
-            predicted_capacity_bps=realized,
-            effective_capacity_bps=realized,
-            feasible_rungs=feasible,
-        )
+        return AuditDecision(raw_rung, safe, intervened, fallback=feasible.size == 0,
+                             predicted_capacity_bps=realized[safe], effective_capacity_bps=realized[safe],
+                             feasible_rungs=feasible)
 
     return auditor

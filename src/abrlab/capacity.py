@@ -1,5 +1,5 @@
-"""Safe-capacity forecasting: point predictor, calibrated lower bound, and
-decision-level evaluation of predictors inside audited sessions.
+"""Safe-capacity forecasting (point predictor, calibrated lower bound), the
+candidate auditors built from it, and the one scored replay of a policy's sessions.
 
 The lower bound is a multiplicative correction: collect realized/predicted
 ratios on calibration traces, take a low order-statistic quantile, and scale
@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .auditor import AuditConfig, decision_violation
+from .auditor import AuditConfig, decision_violation, make_auditor, make_oracle_auditor
 from .metrics import RiskReport, build_report
 # run_session is not called here but stays bound: the benchmark tests check this binding.
 from .sim import QoEWeights, SessionLog, VideoSpec, run_session, run_sessions, session_summary  # noqa: F401
@@ -42,6 +42,16 @@ class PredictorConfig:
         if unknown:
             raise ValueError(f"unknown predictor candidates {sorted(unknown)}; "
                              f"choose from {PREDICTOR_CANDIDATES}")
+
+
+def candidate_auditors(cfg: PredictorConfig, scale: float) -> dict[str, Callable]:
+    """Auditor factory `(trace, audit) -> auditor` per name in
+    PREDICTOR_CANDIDATES; the lower bound scales the point forecast by the
+    calibrated `scale`, and the oracle screens with hindsight."""
+    lower = LowerBoundPredictor(PointPredictor(cfg), scale)
+    return {"point": lambda trace, audit: make_auditor(lower.point, audit),
+            "lower-bound": lambda trace, audit: make_auditor(lower, audit),
+            "oracle": make_oracle_auditor}
 
 
 def point_predict(history_bps: np.ndarray, horizon_s: int) -> float:
@@ -170,16 +180,6 @@ def high_risk_overrate(predicted_bps: Sequence[float], realized_bps: Sequence[fl
     return float(np.mean(p[hard] > c[hard]))
 
 
-@dataclass(frozen=True)
-class DecisionEvalResult:
-    v_dec: float
-    overrate_hr: float
-    n_decisions: int
-    n_admitted: int
-    report: RiskReport
-    logs: tuple[SessionLog, ...]
-
-
 def decision_scores(logs: Sequence[SessionLog], guard_s: float) -> tuple[float, float, int, int]:
     """(v_dec, overrate_hr, n_decisions, n_admitted): the auditor of audited
     sessions scored at decision level.
@@ -206,23 +206,21 @@ def decision_scores(logs: Sequence[SessionLog], guard_s: float) -> tuple[float, 
     return violation_rate(admitted_violations), overrate, len(predicted), len(admitted_violations)
 
 
-def evaluate_predictor_decisions(
-    name: str, auditor_for: Callable, audit: AuditConfig, policy: Callable,
-    traces: Sequence[ThroughputTrace], spec: VideoSpec, w: QoEWeights, history_len: int = 8,
-    tail_fraction: float = 0.05, severe_threshold_s: float = 10.0,
-) -> DecisionEvalResult:
-    """Run audited sessions and score their auditor at decision level.
+def replay(name: str, policy: Callable, traces: Sequence[ThroughputTrace], spec: VideoSpec, w: QoEWeights,
+           auditor_for: Callable | None = None, audit: AuditConfig = AuditConfig(), history_len: int = 8,
+           tail_fraction: float = 0.05, severe_threshold_s: float = 10.0,
+           ) -> tuple[RiskReport, list[dict], list[SessionLog]]:
+    """(risk report named `name`, session rows, logs) of `policy` on `traces`.
 
-    Each session is audited by `auditor_for(trace, audit)`: `make_oracle_auditor`
-    as it is, or `lambda tr, a: make_auditor(predictor, a)` for a predictor.
-    The report row is named `name` and carries `decision_scores` at
-    `audit.guard_s`.
+    With `auditor_for`, a factory of `candidate_auditors`, each session is
+    audited by `auditor_for(trace, audit)` and the report carries
+    `decision_scores` at `audit.guard_s`; without it, those two columns are None.
     """
     if not traces:
         raise ValueError("no traces to evaluate")
-    logs = run_sessions(traces, spec, w, policy, [auditor_for(trace, audit) for trace in traces],
-                        history_len=history_len)
-    v_dec, overrate, n_decisions, n_admitted = decision_scores(logs, audit.guard_s)
-    report = build_report(name, [session_summary(log) for log in logs], v_dec=v_dec, overrate_hr=overrate,
-                          tail_fraction=tail_fraction, severe_threshold_s=severe_threshold_s)
-    return DecisionEvalResult(v_dec, overrate, n_decisions, n_admitted, report, tuple(logs))
+    auditors = [auditor_for(trace, audit) for trace in traces] if auditor_for else None
+    logs = run_sessions(traces, spec, w, policy, auditors, history_len=history_len)
+    v_dec, overrate = decision_scores(logs, audit.guard_s)[:2] if auditor_for else (None, None)
+    rows = [session_summary(log) for log in logs]
+    return build_report(name, rows, v_dec=v_dec, overrate_hr=overrate, tail_fraction=tail_fraction,
+                        severe_threshold_s=severe_threshold_s), rows, logs

@@ -31,18 +31,17 @@ import sys
 from functools import cached_property, partial
 from pathlib import Path
 
-from .auditor import make_auditor, make_oracle_auditor
-from .capacity import (LowerBoundPredictor, PointPredictor, calibrate_lower_bound, coverage_miss_rate,
-                       decision_scores)
+from .capacity import (LowerBoundPredictor, PointPredictor, calibrate_lower_bound, candidate_auditors,
+                       coverage_miss_rate, replay)
 from .config import (METHODS, ExperimentConfig, bc_fingerprint, calibration_fingerprint,
                      load_config, ppo_fingerprint, save_config, traces_fingerprint, with_overrides)
 from .imitation import pretrain
-from .metrics import REPORT_COLUMNS, build_report, read_report_csv, write_report_csv, write_report_json
+from .metrics import REPORT_COLUMNS, read_report_csv, write_report_csv, write_report_json
 from .net import load_checkpoint, make_greedy_policy, save_checkpoint
 from .policies import make_bola_policy, make_rate_rule_policy, make_robust_mpc_policy
 from .risk_ppo import finetune
 # run_session is not called here but stays bound: the benchmark tests check this binding.
-from .sim import run_session, run_sessions, session_summary  # noqa: F401
+from .sim import run_session  # noqa: F401
 from .traces import handover_heavy_subset, ingest_trace, split_traces, synthesize_trace, write_trace
 
 # checkpoint kind -> (config fingerprint, stage that writes it, suffix of its side JSON)
@@ -170,35 +169,28 @@ class RunContext:
 
     @cached_property
     def auditors(self) -> dict:
-        """Auditor factory `(trace, audit) -> auditor` per name in
-        capacity.PREDICTOR_CANDIDATES; the lower bound is calibration.json's."""
+        """capacity.candidate_auditors at calibration.json's lower-bound scale."""
         path = self.out / "calibration.json"
         if not path.exists():
             raise StageError(f"{path} not found; run `abrlab calibrate` first")
         payload = json.loads(path.read_text(encoding="utf-8"))
         self.check_fresh(path.name, payload, self.stamp(calibration_fingerprint(self.cfg)))
-        lower = LowerBoundPredictor(PointPredictor(self.cfg.predictor), payload["scale"])
-        return {"point": lambda trace, audit: make_auditor(lower.point, audit),
-                "lower-bound": lambda trace, audit: make_auditor(lower, audit),
-                "oracle": make_oracle_auditor}
+        return candidate_auditors(self.cfg.predictor, payload["scale"])
 
     def evaluate(self, label: str, kind: str, traces, auditor: str | None = None,
                  margin: float | None = None):
-        """(risk report named `label`, session rows) of policy `kind` on `traces`,
-        audited by `auditors[auditor]` at `margin` or the configured one when
-        given. A run is replayed once per stage: a repeat comes back relabeled."""
+        """(risk report named `label`, session rows) of `capacity.replay` of
+        policy `kind` on `traces`, audited by `auditors[auditor]` at `margin` or
+        the configured one when given. A run is replayed once per stage: a
+        repeat comes back relabeled."""
         cfg = self.cfg
         audit = cfg.audit if margin is None else dataclasses.replace(cfg.audit, capacity_margin=margin)
         key = (kind, tuple(trace.trace_id for trace in traces), auditor, audit if auditor else None)
         if key not in self._runs:
-            screens = [self.auditors[auditor](trace, audit) for trace in traces] if auditor else None
-            logs = run_sessions(traces, self.spec, self.w, self.policy(kind), screens,
-                                history_len=cfg.history_len)
-            v_dec, overrate = decision_scores(logs, audit.guard_s)[:2] if auditor else (None, None)
-            rows = [session_summary(log) for log in logs]
-            self._runs[key] = build_report(label, rows, v_dec=v_dec, overrate_hr=overrate,
-                                           tail_fraction=cfg.eval.tail_fraction,
-                                           severe_threshold_s=cfg.eval.severe_threshold_s), rows
+            self._runs[key] = replay(label, self.policy(kind), traces, self.spec, self.w,
+                                     self.auditors[auditor] if auditor else None, audit,
+                                     history_len=cfg.history_len, tail_fraction=cfg.eval.tail_fraction,
+                                     severe_threshold_s=cfg.eval.severe_threshold_s)[:2]
         report, rows = self._runs[key]
         return dataclasses.replace(report, method=label), rows
 
@@ -322,9 +314,6 @@ def _format_table(reports) -> str:
 
 def cmd_evaluate(ctx: RunContext) -> int:
     cfg, args = ctx.cfg, ctx.args
-    if "robust-mpc" in cfg.eval.methods and cfg.mpc.history_len > cfg.history_len:
-        raise StageError(f"mpc.history_len ({cfg.mpc.history_len}) may not exceed history_len "
-                         f"({cfg.history_len}), the throughput samples a session keeps")
     plan = {name: METHODS[name] for name in cfg.eval.methods}  # name -> (policy kind, auditor)
     audited = [name for name, (_, auditor) in plan.items() if auditor]
     if args.margin_grid and not audited:

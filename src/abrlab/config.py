@@ -127,6 +127,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.history_len < 1:
             raise ValueError("history_len must be at least 1")
+        if "robust-mpc" in self.eval.methods and self.mpc.history_len > self.history_len:
+            raise ValueError(f"mpc.history_len ({self.mpc.history_len}) may not exceed history_len "
+                             f"({self.history_len}), the throughput samples a session keeps")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -168,15 +168,13 @@ def dagger_round(
 def pretrain(
     traces: list[ThroughputTrace], spec: VideoSpec, w: QoEWeights,
     cfg: BcConfig = BcConfig(), fc: FeatureConfig = FeatureConfig(),
-    seed: int = 0, net: PolicyNet | None = None, history_len: int = 8,
-    expert_fn: ExpertFn | None = None,
+    seed: int = 0, history_len: int = 8, expert_fn: ExpertFn | None = None,
 ) -> tuple[PolicyNet, list[dict]]:
     """Full aggregation schedule. Deterministic per seed; zero rounds returns
     the freshly initialized net untouched with an empty report."""
     if not traces:
         raise ValueError("no training traces")
-    if net is None:
-        net = init_policy_net(NetConfig(feature_dim(history_len, spec.ladder.num_rungs), spec.ladder.num_rungs), seed)
+    net = init_policy_net(NetConfig(feature_dim(history_len, spec.ladder.num_rungs), spec.ladder.num_rungs), seed)
     rng = np.random.default_rng([seed, 101])
     opt = Adam(net.size, lr=cfg.learning_rate, max_grad_norm=None)
     dataset = ImitationDataset()

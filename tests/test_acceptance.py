@@ -17,7 +17,7 @@ from abrlab.auditor import (AuditConfig, audit_action, decision_violation, feasi
                             make_auditor, make_oracle_auditor)
 from abrlab.capacity import (LowerBoundPredictor, PointPredictor,
                              PredictorConfig, calibrate_lower_bound, coverage_miss_rate,
-                             evaluate_predictor_decisions, high_risk_overrate, lower_quantile)
+                             decision_scores, high_risk_overrate, lower_quantile, replay)
 from abrlab.cli import main
 from abrlab.metrics import build_report, tail_mean
 from abrlab.net import NetConfig, backward, forward, init_policy_net, make_greedy_policy
@@ -258,16 +258,17 @@ def test_criterion_03_simulator_invariants():
 def test_criterion_04_oracle_auditor_soundness(trace_pools):
     """With hindsight capacity and unit margin, admitted decisions never violate."""
     t0 = time.perf_counter()
-    res = evaluate_predictor_decisions(
-        "oracle", make_oracle_auditor, AuditConfig(guard_s=0.0, capacity_margin=0.90),
-        make_rate_rule_policy(), trace_pools["test"], VideoSpec(), QoEWeights())
-    never_up = all(o.rung <= o.raw_rung for log in res.logs for o in log.outcomes)
-    n_chunks = sum(len(log.outcomes) for log in res.logs)
+    report, _, logs = replay(
+        "oracle", make_rate_rule_policy(), trace_pools["test"], VideoSpec(), QoEWeights(),
+        make_oracle_auditor, AuditConfig(guard_s=0.0, capacity_margin=0.90))
+    n_admitted = decision_scores(logs, 0.0)[3]
+    never_up = all(o.rung <= o.raw_rung for log in logs for o in log.outcomes)
+    n_chunks = sum(len(log.outcomes) for log in logs)
     elapsed = time.perf_counter() - t0
-    ok = res.v_dec == 0.0 and never_up and len(res.logs) >= 200
+    ok = report.v_dec == 0.0 and never_up and len(logs) >= 200
     _verdict(4, "oracle auditor soundness", ok,
-             f"violation rate {res.v_dec!r} over {res.n_admitted} admitted decisions, "
-             f"never-up on all {n_chunks} chunks of {len(res.logs)} sessions, {elapsed:.1f}s")
+             f"violation rate {report.v_dec!r} over {n_admitted} admitted decisions, "
+             f"never-up on all {n_chunks} chunks of {len(logs)} sessions, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------- criterion 5
@@ -348,9 +349,8 @@ def test_criterion_07_risk_training_reduces_tails(trace_pools, trained_stack):
         rl_pol = make_greedy_policy(trained_stack["nets"][seed]["rl"], spec)
         b = build_report("bc", [session_summary(run_session(tr, spec, w, bc_pol)) for tr in test])
         r = build_report("rl", [session_summary(run_session(tr, spec, w, rl_pol)) for tr in test])
-        f = evaluate_predictor_decisions(
-            "lower-bound", lambda tr, a: make_auditor(trained_stack["lower"], a),
-            AuditConfig(guard_s=0.0, capacity_margin=0.90), rl_pol, test, spec, w).report
+        f = replay("lower-bound", rl_pol, test, spec, w, lambda tr, a: make_auditor(trained_stack["lower"], a),
+                   AuditConfig(guard_s=0.0, capacity_margin=0.90))[0]
         sev_drop = (b.severe_ratio - r.severe_ratio) / max(b.severe_ratio, 1e-12)
         qoe_loss = (b.qoe_mean - r.qoe_mean) / max(abs(b.qoe_mean), 1e-12)
         w5_drop = (b.rebuf_worst5_s - f.rebuf_worst5_s) / max(b.rebuf_worst5_s, 1e-12)
@@ -377,10 +377,9 @@ def test_criterion_08_lower_bound_beats_point_predictor(trace_pools, trained_sta
     policy = make_greedy_policy(trained_stack["nets"][0]["rl"], spec)
     cal = trace_pools["cal"]
     audit = AuditConfig(guard_s=0.0, capacity_margin=0.90)
-    pt = evaluate_predictor_decisions("point", lambda tr, a: make_auditor(trained_stack["point"], a),
-                                      audit, policy, cal, spec, w)
-    lb = evaluate_predictor_decisions("lower-bound", lambda tr, a: make_auditor(trained_stack["lower"], a),
-                                      audit, policy, cal, spec, w)
+    pt = replay("point", policy, cal, spec, w, lambda tr, a: make_auditor(trained_stack["point"], a), audit)[0]
+    lb = replay("lower-bound", policy, cal, spec, w, lambda tr, a: make_auditor(trained_stack["lower"], a),
+                audit)[0]
     elapsed = time.perf_counter() - t0
     ok = lb.v_dec < pt.v_dec and lb.overrate_hr < pt.overrate_hr
     _verdict(8, "calibrated bound dominates", ok,

@@ -14,7 +14,8 @@ from abrlab.auditor import (
     make_auditor,
     make_oracle_auditor,
 )
-from abrlab.sim import PlayerState, QoEWeights, VideoSpec, chunk_sizes, run_session
+from abrlab.policies import bulk_download_times, trace_cumulative_bytes
+from abrlab.sim import PlayerState, QoEWeights, VideoSpec, chunk_sizes, download_chunk, run_session
 from abrlab.traces import SynthConfig, ThroughputTrace, synthesize_trace
 
 W = QoEWeights()
@@ -198,6 +199,35 @@ class TestOracleAuditor:
         aud = make_oracle_auditor(tr, AuditConfig(guard_s=4.0))
         d = aud(_state(buffer_s=4.0), np.zeros(0), 2)
         assert (d.safe_rung, d.fallback) == (0, True)
+
+    def test_boundary_rung_is_judged_by_the_executed_download(self):
+        # At 1.1 s on a flat 30 Mbit/s link the planner's integrator times rung 1
+        # a few ulps shorter than the download the session executes. With the
+        # buffer at the planner's time, that rung would overrun it when scored.
+        tr = ThroughputTrace("flat", np.arange(600.0), np.full(600, 30e6))
+        size = float(FLAT_SIZES[1])
+        planned = float(bulk_download_times(trace_cumulative_bytes(tr), tr.throughput_bps, 0.0,
+                                            np.array([1.1]), np.array([size]))[0])
+        executed, realized = download_chunk(tr, 1.1, size)
+        assert planned < executed and decision_violation(size, realized, planned)
+        aud = make_oracle_auditor(tr, AuditConfig(capacity_margin=1.0))
+        d = aud(_state(buffer_s=planned, wall=1.1), np.zeros(0), 5)
+        assert d.feasible_rungs.tolist() == [0]
+        assert d.safe_rung == 0
+
+    def test_download_past_the_trace_end_is_infeasible(self):
+        # 1.5 s of a 10 s, 30 Mbit/s trace are left: 5.6 MB, rungs 0 and 1.
+        # Extrapolating at the final rate admitted every rung.
+        tr = ThroughputTrace("short", np.arange(10.0), np.full(10, 30e6))
+        aud = make_oracle_auditor(tr, AuditConfig(capacity_margin=1.0))
+        d = aud(_state(buffer_s=30.0, wall=8.5), np.zeros(0), 5)
+        assert d.feasible_rungs.tolist() == [0, 1]
+        assert (d.safe_rung, d.fallback) == (1, False)
+        assert d.predicted_capacity_bps == pytest.approx(30e6)
+        # 0.1 s left: not even the lowest rung arrives, so nothing is admitted
+        d = aud(_state(buffer_s=30.0, wall=9.9), np.zeros(0), 5)
+        assert (d.feasible_rungs.size, d.safe_rung, d.fallback) == (0, 0, True)
+        assert math.isnan(d.predicted_capacity_bps)
 
     def test_admitted_decisions_never_violate(self):
         spec = VideoSpec(num_chunks=20)

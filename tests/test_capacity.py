@@ -7,6 +7,7 @@ import pytest
 
 from abrlab.auditor import AuditConfig, make_auditor, make_oracle_auditor
 from abrlab.capacity import (
+    PREDICTOR_CANDIDATES,
     CalibrationResult,
     LowerBoundPredictor,
     PointPredictor,
@@ -14,12 +15,14 @@ from abrlab.capacity import (
     _forecast_windows,
     calibrate_lower_bound,
     calibration_ratios,
+    candidate_auditors,
     coverage_miss_rate,
-    evaluate_predictor_decisions,
+    decision_scores,
     high_risk_overrate,
     lower_quantile,
     point_predict,
     realized_target,
+    replay,
     violation_rate,
 )
 from abrlab.sim import QoEWeights, VideoSpec
@@ -280,13 +283,11 @@ class TestDecisionEvaluation:
                   for i in range(4)]
         spec = VideoSpec(num_chunks=20)
         rng = np.random.default_rng(0)
-        res = evaluate_predictor_decisions(
-            "oracle", make_oracle_auditor, AuditConfig(), lambda s: int(rng.integers(0, 6)),
-            traces, spec, W)
-        assert res.v_dec == 0.0
-        assert res.n_admitted > 0
-        assert res.report.method == "oracle"
-        assert res.report.v_dec == 0.0
+        report, _, logs = replay("oracle", lambda s: int(rng.integers(0, 6)), traces, spec, W,
+                                 make_oracle_auditor, AuditConfig())
+        assert decision_scores(logs, 0.0)[3] > 0
+        assert report.method == "oracle"
+        assert report.v_dec == 0.0
 
     def test_wild_overprediction_scores_worst_everywhere(self):
         # 5 Mbit/s link, always-top policy: a huge forecast admits everything,
@@ -294,26 +295,24 @@ class TestDecisionEvaluation:
         # overpredicted wall to wall
         tr = ThroughputTrace("slow", np.arange(1000.0), np.full(1000, 5e6))
         spec = VideoSpec(num_chunks=8, size_jitter=(1.0, 1.0))
-        res = evaluate_predictor_decisions("huge", _screened_by(_HugePredictor()), AuditConfig(),
-                                           lambda s: 5, [tr], spec, W)
-        assert res.v_dec == 1.0
-        assert res.overrate_hr == 1.0
-        assert res.n_decisions == 7  # the first chunk has no forecast yet
+        report, _, logs = replay("huge", lambda s: 5, [tr], spec, W, _screened_by(_HugePredictor()),
+                                 AuditConfig())
+        assert report.v_dec == 1.0
+        assert report.overrate_hr == 1.0
+        assert decision_scores(logs, 0.0)[2] == 7  # the first chunk has no forecast yet
 
     def test_honest_predictor_on_adequate_link_is_clean(self):
         tr = ThroughputTrace("ok", np.arange(600.0), np.full(600, 30e6))
         spec = VideoSpec(num_chunks=12, size_jitter=(1.0, 1.0))
         point = PointPredictor(PredictorConfig(horizon_s=5))
-        res = evaluate_predictor_decisions("point", _screened_by(point),
-                                           AuditConfig(guard_s=0.0, capacity_margin=0.9),
-                                           lambda s: 5, [tr], spec, W)
-        assert res.v_dec == 0.0
-        assert sum(log.audit_interventions for log in res.logs) > 0
+        report, _, logs = replay("point", lambda s: 5, [tr], spec, W, _screened_by(point),
+                                 AuditConfig(guard_s=0.0, capacity_margin=0.9))
+        assert report.v_dec == 0.0
+        assert sum(log.audit_interventions for log in logs) > 0
 
     def test_no_traces_rejected(self):
         with pytest.raises(ValueError, match="no traces"):
-            evaluate_predictor_decisions("oracle", make_oracle_auditor, AuditConfig(),
-                                         lambda s: 0, [], VideoSpec(), W)
+            replay("oracle", lambda s: 0, [], VideoSpec(), W, make_oracle_auditor, AuditConfig())
 
     def test_one_auditor_per_session_from_the_factory(self):
         traces = [ThroughputTrace(f"flat{i}", np.arange(300.0), np.full(300, 30e6)) for i in range(3)]
@@ -324,19 +323,21 @@ class TestDecisionEvaluation:
             calls.append((trace.trace_id, cfg))
             return make_auditor(PointPredictor(), cfg)
 
-        res = evaluate_predictor_decisions("point", auditor_for, audit, lambda s: 5, traces,
-                                           VideoSpec(num_chunks=6), W)
+        _, _, logs = replay("point", lambda s: 5, traces, VideoSpec(num_chunks=6), W, auditor_for, audit)
         assert calls == [(tr.trace_id, audit) for tr in traces]
-        assert [log.trace_id for log in res.logs] == ["flat0", "flat1", "flat2"]
+        assert [log.trace_id for log in logs] == ["flat0", "flat1", "flat2"]
 
     def test_guard_of_the_audit_config_sets_the_violation_budget(self):
         # a huge forecast admits every top-rung request; whether the admitted
         # downloads violate depends only on the guard the budget subtracts
         tr = ThroughputTrace("fast", np.arange(600.0), np.full(600, 200e6))
         spec = VideoSpec(num_chunks=8, size_jitter=(1.0, 1.0))
-        loose, tight = (evaluate_predictor_decisions(
-            "huge", _screened_by(_HugePredictor()), AuditConfig(guard_s=guard), lambda s: 5,
-            [tr], spec, W) for guard in (0.0, 3.9))
-        assert loose.n_admitted == tight.n_admitted > 0
-        assert loose.v_dec == 0.0
-        assert tight.v_dec > 0.0
+        loose, tight = (replay("huge", lambda s: 5, [tr], spec, W, _screened_by(_HugePredictor()),
+                               AuditConfig(guard_s=guard)) for guard in (0.0, 3.9))
+        assert decision_scores(loose[2], 0.0)[3] == decision_scores(tight[2], 3.9)[3] > 0
+        assert loose[0].v_dec == 0.0
+        assert tight[0].v_dec > 0.0
+
+    def test_candidate_table_covers_every_candidate(self):
+        table = candidate_auditors(PredictorConfig(), 0.5)
+        assert tuple(table) == PREDICTOR_CANDIDATES

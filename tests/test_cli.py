@@ -13,10 +13,8 @@ import pytest
 import yaml
 
 import abrlab.capacity
-import abrlab.cli
 from abrlab.auditor import make_auditor
-from abrlab.capacity import (PREDICTOR_CANDIDATES, LowerBoundPredictor, PointPredictor,
-                             evaluate_predictor_decisions)
+from abrlab.capacity import PREDICTOR_CANDIDATES, LowerBoundPredictor, PointPredictor, decision_scores
 from abrlab.cli import main
 from abrlab.config import calibration_fingerprint, load_config, traces_fingerprint
 from abrlab.metrics import build_report, read_report_csv, write_report_csv
@@ -207,8 +205,7 @@ class TestPipelineArtifacts:
                 return replay(*args, **kwargs)
             return run_sessions
 
-        for module in (abrlab.cli, abrlab.capacity):
-            monkeypatch.setattr(module, "run_sessions", counted(module.run_sessions))
+        monkeypatch.setattr(abrlab.capacity, "run_sessions", counted(abrlab.capacity.run_sessions))
         # At this scale fine-tuning barely moves the cloned net; a random fine-tuned
         # net makes the bc and ppo rows differ, so a swapped twin would show.
         ppo = next((pipeline / "checkpoints").glob("ppo_*.ckpt"))
@@ -247,8 +244,7 @@ class TestPipelineArtifacts:
                 return replay(*args, **kwargs)
             return run_sessions
 
-        for module in (abrlab.cli, abrlab.capacity):
-            monkeypatch.setattr(module, "run_sessions", counted(module.run_sessions))
+        monkeypatch.setattr(abrlab.capacity, "run_sessions", counted(abrlab.capacity.run_sessions))
         run = tmp_path / "run"
         shutil.copytree(pipeline, run)
         predictor = {**TINY["predictor"], "candidates": candidates or ["point", "lower-bound"]}
@@ -266,12 +262,13 @@ class TestPipelineArtifacts:
         lower = LowerBoundPredictor(PointPredictor(cfg.predictor), payload["scale"])
         traces = [ingest_trace(pipeline / "traces" / f"{tid}.csv")
                   for tid in json.loads((pipeline / "split.json").read_text())["calibration"]]
-        res = evaluate_predictor_decisions(
-            "lower-bound", lambda trace, audit: make_auditor(lower, audit), cfg.audit,
-            make_greedy_policy(net, spec, cfg.features), traces, spec, cfg.qoe,
-            history_len=cfg.history_len, tail_fraction=cfg.eval.tail_fraction,
-            severe_threshold_s=cfg.eval.severe_threshold_s)
-        write_report_csv([res.report], tmp_path / "direct.csv")
+        logs = run_sessions(traces, spec, cfg.qoe, make_greedy_policy(net, spec, cfg.features),
+                            [make_auditor(lower, cfg.audit) for _ in traces], history_len=cfg.history_len)
+        v_dec, overrate = decision_scores(logs, cfg.audit.guard_s)[:2]
+        report = build_report("lower-bound", [session_summary(log) for log in logs], v_dec=v_dec,
+                              overrate_hr=overrate, tail_fraction=cfg.eval.tail_fraction,
+                              severe_threshold_s=cfg.eval.severe_threshold_s)
+        write_report_csv([report], tmp_path / "direct.csv")
         row = (tmp_path / "direct.csv").read_text().splitlines()[1]
         assert row in (pipeline / "reports" / "predictors.csv").read_text().splitlines()
 
@@ -297,13 +294,9 @@ class TestPipelineArtifacts:
                                     json.loads((run / "calibration.json").read_text())["scale"])
 
         def replay(net, audited):
-            policy = make_greedy_policy(net, spec, cfg.features)
-            if audited:
-                logs = evaluate_predictor_decisions("", lambda trace, audit: make_auditor(lower, audit),
-                                                    cfg.audit, policy, traces, spec, cfg.qoe,
-                                                    history_len=cfg.history_len).logs
-            else:
-                logs = run_sessions(traces, spec, cfg.qoe, policy, history_len=cfg.history_len)
+            auditors = [make_auditor(lower, cfg.audit) for _ in traces] if audited else None
+            logs = run_sessions(traces, spec, cfg.qoe, make_greedy_policy(net, spec, cfg.features), auditors,
+                                history_len=cfg.history_len)
             return [[str(v) for v in session_summary(log).values()] for log in logs]
 
         rows = {}

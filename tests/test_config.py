@@ -136,6 +136,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"'video'.*nope"):
             config_from_dict({"video": {"nope": 1}})
 
+    def test_mpc_window_longer_than_history_rejected_at_load(self):
+        # gen-traces, pretrain and finetune ran; only evaluate refused the config
+        with pytest.raises(ValueError, match=r"mpc.history_len \(5\) may not exceed history_len \(4\)"):
+            config_from_dict({"history_len": 4, "mpc": {"history_len": 5}})
+        with pytest.raises(ValueError, match="mpc.history_len"):
+            with_overrides(config_from_dict({"history_len": 4, "mpc": {"history_len": 5},
+                                             "eval": {"methods": ["bola"]}}), methods=("robust-mpc",))
+        # without robust MPC among the methods its window is never read
+        config_from_dict({"history_len": 4, "mpc": {"history_len": 5}, "eval": {"methods": ["bola"]}})
+
     @pytest.mark.parametrize("section, key, value", [
         # the audited methods are always audited; unaudited variants are separate methods
         ("audit", "enabled", False),
@@ -280,7 +290,7 @@ class TestFingerprints:
         base = bc_fingerprint(ExperimentConfig())
         changed = [
             _tweak(seed=8),
-            _tweak(history_len=4),
+            _tweak(mpc={"history_len": 4}, history_len=4),
             _tweak(traces={"count": 99}),      # upstream cascades
             _tweak(video={"num_chunks": 12}),
             _tweak(qoe={"rebuffer_penalty": 10.0}),
