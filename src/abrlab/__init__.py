@@ -20,9 +20,8 @@ from .imitation import (BcConfig, ImitationDataset, dagger_round, expert_agreeme
                         imitation_loss, pretrain)
 from .metrics import (RiskReport, build_report, exceed_ratio, read_report_csv, tail_mean,
                       write_report_csv, write_report_json)
-from .net import (Adam, FeatureConfig, NetConfig, PolicyNet, backward, feature_dim,
-                  featurize, forward, greedy_action, init_policy_net, load_checkpoint,
-                  make_greedy_policy, sample_action, save_checkpoint, softmax)
+from .net import (Adam, FeatureConfig, NetConfig, PolicyNet, backward, feature_dim, featurize, forward,
+                  init_policy_net, load_checkpoint, make_greedy_policy, sample_action, save_checkpoint, softmax)
 from .policies import (BolaConfig, MpcConfig, beam_expert_decide, beam_expert_labels, bola_decide,
                        bulk_download_times, make_bola_policy, make_expert_policy,
                        make_rate_rule_policy, make_robust_mpc_policy, rate_rule_decide,

@@ -122,10 +122,13 @@ class RunContext:
                     for key, label in (("fingerprint", "config fingerprint"), ("trace_set", "trace set"))
                     if record.get(key, "") != expected[key]]
         if problems:
-            msg = f"{what} is stale ({'; '.join(problems)}); rebuild it or pass --allow-stale"
-            if not vars(self.args).get("allow_stale"):
-                raise StageError(msg)
-            print(f"warning: {msg}", file=sys.stderr)
+            self.refuse(f"{what} is stale ({'; '.join(problems)}); rebuild it or pass --allow-stale")
+
+    def refuse(self, msg: str) -> None:
+        """Raise `msg` as a StageError, or under --allow-stale print it as a warning."""
+        if not vars(self.args).get("allow_stale"):
+            raise StageError(msg)
+        print(f"warning: {msg}", file=sys.stderr)
 
     def stem(self, kind: str) -> str:
         """File stem of the `bc` (cloned) or `ppo` (fine-tuned) checkpoint."""
@@ -159,7 +162,11 @@ class RunContext:
         if kind not in self._policies:
             cfg = self.cfg
             if kind in CHECKPOINTS:
-                net, _ = self.load_policy(kind)
+                net, meta = self.load_policy(kind)
+                steps, total = int(meta.get("steps_trained", 0)), cfg.ppo.total_steps
+                if kind == "ppo" and steps < total:
+                    self.refuse(f"{self.ckpt_path(kind).name} is stale (trained for {steps} steps of "
+                                f"ppo.total_steps {total}); run `abrlab finetune --resume` or pass --allow-stale")
                 policy = make_greedy_policy(net, self.spec, cfg.features)
             else:
                 policy = {"rate-rule": make_rate_rule_policy, "bola": partial(make_bola_policy, cfg.bola),

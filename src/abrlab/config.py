@@ -142,38 +142,48 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return raw
 
 
-def _coerce(value, annotation: str):
-    if annotation.startswith("tuple"):
-        return tuple(value)
-    # YAML 1.1 reads unsigned exponents like 2.0e8 as strings; repair here.
-    if value is None or isinstance(value, bool):
+def _coerce(value, annotation: str, key: str):
+    """`value` as its field's annotation asks, or a ValueError naming `key`:
+    an int takes an int or a string of one; a float an int, a float or a
+    numeric string (YAML 1.1 reads 2.0e8 as a string); a bool (never a
+    number) or a str only itself; `X | None` also None; `tuple[T, ...]` a
+    list or tuple of T."""
+    if value is None and annotation.endswith(" | None"):
+        return None
+    annotation = annotation.removesuffix(" | None")
+    if annotation.startswith("tuple[") and isinstance(value, (list, tuple)):
+        return tuple(_coerce(item, annotation[len("tuple[") : -len(", ...]")], key) for item in value)
+    if isinstance(value, {"int": (int, str), "float": (int, float, str)}.get(annotation, ())) \
+            and not isinstance(value, bool):
+        try:
+            return int(value) if annotation == "int" else float(value)
+        except ValueError:
+            pass
+    if annotation in ("bool", "str") and type(value).__name__ == annotation:
         return value
-    if annotation.startswith("float") and isinstance(value, (int, str)):
-        return float(value)
-    if annotation.startswith("int") and isinstance(value, str):
-        return int(value)
-    return value
+    raise ValueError(f"config key {key}: expected {annotation}, got {value!r}")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from parsed YAML. `ExperimentConfig` is the schema: each
     field with a default_factory is a section of that dataclass's fields, the
-    others are top-level keys; values are coerced by their field annotation."""
-    data = dict(data)
-    kwargs = {}
-    for sec in fields(ExperimentConfig):
-        if sec.default_factory is MISSING:
-            continue
-        section = dict(data.pop(sec.name, {}) or {})
-        types = {f.name: str(f.type) for f in fields(sec.default_factory)}
-        unknown = set(section) - set(types)
-        if unknown:
-            raise ValueError(f"config section {sec.name!r}: unknown keys {sorted(unknown)}")
-        kwargs[sec.name] = sec.default_factory(**{k: _coerce(v, types[k]) for k, v in section.items()})
+    others are top-level keys; every value is coerced by its field annotation."""
     unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"config: unknown top-level keys {sorted(unknown)}")
-    return ExperimentConfig(**{**data, **kwargs})
+    kwargs = {}
+    for top in (f for f in fields(ExperimentConfig) if f.name in data):
+        if top.default_factory is MISSING:
+            kwargs[top.name] = _coerce(data[top.name], str(top.type), top.name)
+            continue
+        section = dict(data[top.name] or {})
+        types = {f.name: str(f.type) for f in fields(top.default_factory)}
+        unknown = set(section) - set(types)
+        if unknown:
+            raise ValueError(f"config section {top.name!r}: unknown keys {sorted(unknown)}")
+        kwargs[top.name] = top.default_factory(**{k: _coerce(v, types[k], f"{top.name}.{k}")
+                                                  for k, v in section.items()})
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -85,7 +85,7 @@ def imitation_loss(net: PolicyNet, features: np.ndarray, labels: np.ndarray,
     with the clamped loss.
     """
     labels = np.asarray(labels, dtype=int)
-    probs, _, cache = forward(net, np.atleast_2d(features), with_cache=True)
+    probs, _, cache = forward(net, features, with_cache=True)
     n = labels.size
     loss, clamped = _cross_entropy(probs, labels)
     if clamp_counter is not None and np.any(clamped):
@@ -94,12 +94,12 @@ def imitation_loss(net: PolicyNet, features: np.ndarray, labels: np.ndarray,
     dlogits[np.arange(n), labels] -= 1.0
     dlogits[clamped] = 0.0
     dlogits /= n
-    grads = backward(net, None, dlogits, np.zeros(n), cache=cache)
+    grads = backward(net, cache, dlogits, np.zeros(n))
     return loss, grads
 
 
 def expert_agreement(net: PolicyNet, features: np.ndarray, labels: np.ndarray) -> float:
-    probs, _ = forward(net, np.atleast_2d(features))
+    probs, _ = forward(net, features)
     picks = np.argmax(probs, axis=1)
     return float(np.mean(picks == np.asarray(labels)))
 

@@ -39,28 +39,24 @@ def feature_dim(history_len: int, num_rungs: int) -> int:
     return history_len + num_rungs + 3
 
 
-def featurize(states: PlayerState | Sequence[PlayerState], spec: VideoSpec,
-              fc: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Observation vector of one state, or an (n, d) matrix with one row per
-    state; everything scaled to roughly [0, 1].
+def featurize(states: Sequence[PlayerState], spec: VideoSpec, fc: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """(n, d) observation matrix, one row per state, scaled to roughly [0, 1].
 
     Layout: [buffer fill, previous rung rate / top rate,
              the state's whole throughput history (oldest first) / scale,
              remaining-chunk fraction, per-rung next chunk sizes / top size].
     Each row is filled with the raw values, then divided by `_feature_scale`.
     """
-    one = isinstance(states, PlayerState)
-    batch = [states] if one else states
-    k, ladder = len(batch[0].throughput_history), batch[0].ladder_kbps
-    out = np.empty((len(batch), feature_dim(k, len(ladder))))
-    for row, s in zip(out, batch):
+    k, ladder = len(states[0].throughput_history), states[0].ladder_kbps
+    out = np.empty((len(states), feature_dim(k, len(ladder))))
+    for row, s in zip(out, states):
         row[0] = s.buffer_s
         row[1] = ladder[s.prev_rung]
         row[2 : 2 + k] = s.throughput_history
         row[2 + k] = s.remaining_chunks
         row[3 + k :] = s.next_chunk_sizes
     out /= _feature_scale(spec, fc, k, ladder)
-    return out[0] if one else out
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,34 +135,30 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(net: PolicyNet, x: np.ndarray, with_cache: bool = False):
-    """(action_probs, value) for one feature vector or a batch."""
-    single = x.ndim == 1
-    xb = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    h1 = np.tanh(xb @ net["w1"] + net["b1"])
+    """(action probabilities (n, A), values (n,)) of an (n, d) feature matrix;
+    with `with_cache`, also the activations that `backward` reads."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"forward takes an (n, d) feature matrix, got shape {x.shape}")
+    h1 = np.tanh(x @ net["w1"] + net["b1"])
     h2 = np.tanh(h1 @ net["w2"] + net["b2"])
     logits = h2 @ net["wp"] + net["bp"]
     values = h2 @ net["wv"] + net["bv"][0]
     probs = softmax(logits)
-    if single:
-        probs, values = probs[0], float(values[0])
     if with_cache:
-        return probs, values, (xb, h1, h2, logits)
+        return probs, values, (x, h1, h2, logits)
     return probs, values
 
 
-def backward(net: PolicyNet, x: np.ndarray, dlogits: np.ndarray, dvalue: np.ndarray, cache=None) -> np.ndarray:
+def backward(net: PolicyNet, cache, dlogits: np.ndarray, dvalue: np.ndarray) -> np.ndarray:
     """Flat parameter gradient of sum_i (dlogits_i . logits_i + dvalue_i * value_i).
 
+    `cache` is what `forward(..., with_cache=True)` returned for the batch.
     Callers express any scalar loss through its per-sample gradients at the
-    two heads; the returned vector is the sum over the batch (divide upstream
-    by n for a mean).
+    two heads, (n, A) and (n,); the returned vector is the sum over the batch
+    (divide upstream by n for a mean).
     """
-    if cache is None:
-        _, _, cache = forward(net, np.atleast_2d(x), with_cache=True)
-    xb, h1, h2, _ = cache
-    dlogits = np.atleast_2d(np.asarray(dlogits, dtype=np.float64))
-    dvalue = np.asarray(dvalue, dtype=np.float64).reshape(-1)
-
+    x, h1, h2, _ = cache
     grad = np.zeros_like(net.params)
     g = PolicyNet(net.cfg, grad)  # same layout, zero-filled
     g["wp"][:] = h2.T @ dlogits
@@ -179,28 +171,19 @@ def backward(net: PolicyNet, x: np.ndarray, dlogits: np.ndarray, dvalue: np.ndar
     g["b2"][:] = dz2.sum(axis=0)
     dh1 = dz2 @ net["w2"].T
     dz1 = dh1 * (1.0 - h1 * h1)
-    g["w1"][:] = xb.T @ dz1
+    g["w1"][:] = x.T @ dz1
     g["b1"][:] = dz1.sum(axis=0)
     return grad
 
 
-def sample_action(probs: np.ndarray, rng: np.random.Generator):
-    """Inverse-CDF draw, deterministic given the generator state. A 1-D
-    `probs` gives one action; an (n, A) matrix gives n, one uniform per row
-    from a single `rng.random(n)`. A row's action is the count of its
-    cumulative probabilities at or below u, clamped to A - 1 (a row may sum
-    to just below u). The sums never decrease, so counting among the first
-    A - 1 of them is that clamp."""
-    probs = np.asarray(probs)
-    rows = probs[None] if probs.ndim == 1 else probs
-    u = rng.random(len(rows))
-    picks = (rows.cumsum(axis=1)[:, :-1] <= u[:, None]).sum(axis=1)
-    return int(picks[0]) if probs.ndim == 1 else picks
-
-
-def greedy_action(probs: np.ndarray) -> int:
-    """Most probable rung; ties resolve to the lower index."""
-    return int(np.argmax(probs))
+def sample_action(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draw of one action per row of an (n, A) matrix, from a
+    single `rng.random(n)`; deterministic given the generator state. A row's
+    action is the count of its cumulative probabilities at or below u,
+    clamped to A - 1 (a row may sum to just below u). The sums never
+    decrease, so counting among the first A - 1 of them is that clamp."""
+    u = rng.random(len(probs))
+    return (probs.cumsum(axis=1)[:, :-1] <= u[:, None]).sum(axis=1)
 
 
 class SampledStep(NamedTuple):
@@ -208,7 +191,7 @@ class SampledStep(NamedTuple):
 
     trace: ThroughputTrace
     state: PlayerState
-    features: np.ndarray          # featurize(state)
+    features: np.ndarray          # state's row of featurize
     probs: np.ndarray             # the policy's action probabilities at state
     value: float
     action: int
@@ -328,7 +311,7 @@ def make_greedy_policy(net: PolicyNet, spec: VideoSpec, fc: FeatureConfig = Feat
     """Most probable rung per state; `decide.batch` decides many states in one forward."""
     def batch(states: Sequence[PlayerState]) -> np.ndarray:
         probs, _ = forward(net, featurize(states, spec, fc))
-        return np.argmax(probs, axis=1)  # ties go to the lower rung, as in greedy_action
+        return np.argmax(probs, axis=1)  # ties go to the lower rung
 
     def decide(state: PlayerState) -> int:
         return int(batch([state])[0])

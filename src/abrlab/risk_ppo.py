@@ -198,7 +198,7 @@ def ppo_update(net: PolicyNet, batch: RolloutBatch, cfg: PpoConfig, opt: Adam,
             coeff = np.where(unclipped_active, ratio * adv, 0.0) / m
             dlogits = -coeff[:, None] * (np.eye(probs.shape[1])[acts] - probs)
             dvalue = cfg.value_coef * 2.0 * (values - rets) / m
-            grads = backward(net, None, dlogits, dvalue, cache=cache)
+            grads = backward(net, cache, dlogits, dvalue)
             policy_loss = float(-np.mean(clipped_surrogate(ratio, adv, cfg.clip_range)))
             value_loss = float(np.mean((values - rets) ** 2))
             if not (math.isfinite(policy_loss + value_loss) and np.all(np.isfinite(grads))):
@@ -256,7 +256,7 @@ class RolloutCollector:
         bootstraps = np.zeros(self.n_envs)
         for e, last in enumerate(steps[n_steps - 1 :: n_steps]):
             if last.log is None:  # the stream's episode goes on: value its next state
-                _, bootstraps[e] = forward(self.net, featurize(last.next_state, self.spec, self.fc))
+                bootstraps[e] = forward(self.net, featurize([last.next_state], self.spec, self.fc))[1][0]
         return RolloutBatch(
             features=np.array([s.features for s in steps]),
             actions=np.array([s.action for s in steps], dtype=int),

@@ -239,8 +239,8 @@ def session_summary(log: SessionLog) -> dict:
 # once per round with every live session's state instead of once per state.
 PolicyFn = Callable[[PlayerState], int]
 # An auditor maps (state, measured past trace samples, requested rung) to a
-# decision object exposing safe_rung / intervened / fallback / capacity fields,
-# or None for "not audited".
+# decision whose safe_rung, intervened, fallback and two capacity fields
+# `SessionEnv.step` reads, or to None for "not audited".
 AuditorFn = Callable[[PlayerState, np.ndarray, int], object]
 
 
@@ -283,14 +283,17 @@ class SessionEnv:
     def done(self) -> bool:
         return self.truncated or len(self.outcomes) == self.spec.num_chunks
 
-    def step(self, rung: int, audit: object | None = None, raw_rung: int | None = None):
-        """Download one chunk. Returns (next_state_or_None, outcome_or_None, done)."""
+    def step(self, rung: int, decision: object | None = None):
+        """Download one chunk: the requested `rung`, or the auditor's
+        `decision.safe_rung` when a decision is given; both must lie on the
+        ladder. Returns (next_state_or_None, outcome_or_None, done)."""
         if self.done:
             raise RuntimeError("step() on a finished session")
-        rung = int(rung)
-        if not (0 <= rung < self.spec.ladder.num_rungs):
-            raise ValueError(f"policy requested rung {rung} outside the ladder")
-        raw = rung if raw_rung is None else int(raw_rung)
+        raw = int(rung)
+        rung = raw if decision is None else int(decision.safe_rung)
+        for who, r in (("policy requested", raw), ("auditor chose", rung)):
+            if not (0 <= r < self.spec.ladder.num_rungs):
+                raise ValueError(f"{who} rung {r} outside the ladder")
         s, spec = self.state, self.spec
         size = float(spec.sizes[s.chunk_index, rung])
         try:
@@ -301,13 +304,14 @@ class SessionEnv:
         rebuf = rebuffer_time(d, s.buffer_s)
         q = chunk_qoe(s.ladder_kbps[rung], s.ladder_kbps[s.prev_rung], rebuf, self.w)
         buf_after = advance_buffer(s.buffer_s, d, s.chunk_duration_s, s.buffer_max_s)
+        audited, fallback, predicted, effective = (False, False, math.nan, math.nan) if decision is None else (
+            bool(decision.intervened), bool(decision.fallback),
+            float(decision.predicted_capacity_bps), float(decision.effective_capacity_bps))
         outcome = ChunkOutcome(
-            chunk_index=s.chunk_index, rung=rung, raw_rung=raw,
-            audited=bool(getattr(audit, "intervened", False)), fallback=bool(getattr(audit, "fallback", False)),
+            chunk_index=s.chunk_index, rung=rung, raw_rung=raw, audited=audited, fallback=fallback,
             size_bytes=size, download_time_s=d, rebuffer_s=rebuf, effective_throughput_bps=c, qoe=q,
             buffer_before_s=s.buffer_s, buffer_after_s=buf_after,
-            predicted_capacity_bps=float(getattr(audit, "predicted_capacity_bps", float("nan"))),
-            effective_capacity_bps=float(getattr(audit, "effective_capacity_bps", float("nan"))))
+            predicted_capacity_bps=predicted, effective_capacity_bps=effective)
         self.outcomes.append(outcome)
         if self.done:
             return None, outcome, True
@@ -339,15 +343,12 @@ def run_sessions(traces: Sequence[ThroughputTrace], spec: VideoSpec, w: QoEWeigh
     Logs come back in trace order.
     """
     envs = [SessionEnv(trace, spec, w, history_len=history_len) for trace in traces]
-    states = [env.reset() for env in envs]
     decide = getattr(policy, "batch", None) or (lambda batch: [policy(s) for s in batch])
     live = list(range(len(envs)))
     while live:
-        for i, raw in zip(live, decide([states[i] for i in live])):
+        for i, raw in zip(live, decide([envs[i].state for i in live])):
             raw, env = int(raw), envs[i]
-            decision = auditors[i](states[i], env.measured_history_bps(), raw) if auditors else None
-            rung = int(getattr(decision, "safe_rung", raw)) if decision is not None else raw
-            states[i], _, _ = env.step(rung, audit=decision, raw_rung=raw)
+            env.step(raw, auditors[i](env.state, env.measured_history_bps(), raw) if auditors else None)
         live = [i for i in live if not envs[i].done]
     return [env.finish() for env in envs]
 

@@ -297,7 +297,7 @@ def test_criterion_05_gradients_match_finite_differences():
             return ce + 0.5 * float(np.mean((values - targets) ** 2))
 
         probs, values, cache = forward(net, x, with_cache=True)
-        analytic = backward(net, x, (probs - onehot) / nb, (values - targets) / nb, cache)
+        analytic = backward(net, cache, (probs - onehot) / nb, (values - targets) / nb)
 
         eps = 1e-6
         fd = np.zeros_like(net.params)

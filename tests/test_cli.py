@@ -424,6 +424,12 @@ class TestErrorPaths:
         assert "audited" in capsys.readouterr().err
         assert not (run / "reports").exists()  # refused before the first replay
 
+    def test_wrong_typed_config_value_is_an_error_line(self, tmp_path, capsys):
+        # a fractional stream count loaded, then finetune died in a TypeError traceback
+        cfg = _write_cfg(tmp_path / "exp.yaml", ppo={**TINY["ppo"], "n_envs": 2.5})
+        assert main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "error: config key ppo.n_envs: expected int, got 2.5" in capsys.readouterr().err
+
     def test_mpc_window_longer_than_history_is_rejected(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "exp.yaml", history_len=4, mpc={"horizon": 3, "history_len": 5})
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "run"),
@@ -574,6 +580,25 @@ class TestStaleness:
         assert main(["evaluate", "--config", str(drifted), "--out", str(run),
                      "--methods", "full", "--allow-stale"]) == 0
         assert "warning: calibration.json is stale" in capsys.readouterr().err
+
+    def test_under_trained_ppo_checkpoint_is_stale(self, trained, capsys):
+        # ppo_fingerprint leaves total_steps out so that --resume works; a
+        # checkpoint trained for fewer steps than the config asks is stale
+        tmp_path, cfg, run = trained
+        assert main(["finetune", "--config", str(cfg), "--out", str(run)]) == 0
+        capsys.readouterr()
+        bigger = _write_cfg(tmp_path / "bigger.yaml",
+                            **{**STALENESS, "ppo": {**STALENESS["ppo"], "total_steps": 256}})
+        for stage, *argv in (["calibrate"], ["evaluate", "--methods", "bc+rl"]):
+            assert main([stage, "--config", str(bigger), "--out", str(run), *argv]) == 2
+            err = capsys.readouterr().err
+            assert "ppo_lambda20_seed5.ckpt is stale (trained for 128 steps of ppo.total_steps 256)" in err
+            assert "abrlab finetune --resume" in err and "--allow-stale" in err
+        assert not (run / "calibration.json").exists()
+
+        assert main(["evaluate", "--config", str(bigger), "--out", str(run),
+                     "--methods", "bc+rl", "--allow-stale"]) == 0
+        assert "warning: ppo_lambda20_seed5.ckpt is stale" in capsys.readouterr().err
 
     def test_drifted_bc_makes_calibrate_refuse_its_frozen_policy(self, trained, capsys):
         tmp_path, cfg, run = trained

@@ -131,6 +131,58 @@ class TestScalarRepair:
         assert cfg.predictor.candidates == ("point",)
 
 
+    def test_top_level_keys_are_coerced(self):
+        cfg = config_from_dict({"seed": "7", "history_len": "6"})
+        assert (cfg.seed, cfg.history_len) == (7, 6)
+
+
+def _keys():
+    """(dotted key, annotation, default) of every config key, top-level keys included."""
+    keys = []
+    for top in dataclasses.fields(ExperimentConfig):
+        if top.default_factory is dataclasses.MISSING:
+            keys.append((top.name, str(top.type), top.default))
+        else:
+            keys += [(f"{top.name}.{f.name}", str(f.type), getattr(top.default_factory(), f.name))
+                     for f in dataclasses.fields(top.default_factory)]
+    return keys
+
+
+# Values of the wrong type for each scalar annotation; a bool is never a number. They
+# include the shapes that loaded or crashed before keys were checked: ppo.n_envs 2.5,
+# history_len 8.0, mpc.robust 'no', a bare eval.margin_grid or eval.methods, a margin 'a'.
+_WRONG = {"int": [2.5, 8.0, True, "2.5", None, [1]], "float": [True, "fast", None, [1.0]],
+          "bool": ["no", 1, None], "str": [5, None, ["a"]]}
+
+
+def _wrong_values(annotation, default):
+    if annotation.endswith(" | None"):
+        return [v for v in _WRONG[annotation[: -len(" | None")]] if v is not None]
+    if annotation.startswith("tuple["):  # a bare item, or a list holding a wrong one
+        return [default[0], *([v] for v in _WRONG[annotation[len("tuple[") : -len(", ...]")]])]
+    return _WRONG[annotation]
+
+
+def _load(key, value):
+    section, _, name = key.rpartition(".")
+    return config_from_dict({section: {name: value}} if section else {name: value})
+
+
+class TestKeyTypes:
+    """Every key's annotation has a rule: a key of a new type fails here first."""
+
+    @pytest.mark.parametrize("key, annotation, default", _keys(), ids=[key for key, _, _ in _keys()])
+    def test_valid_value_loads_and_wrong_type_is_rejected(self, key, annotation, default):
+        cfg = _load(key, list(default) if isinstance(default, tuple) else default)
+        got = cfg
+        for part in key.split("."):
+            got = getattr(got, part)
+        assert got == default and type(got) is type(default)
+        for wrong in _wrong_values(annotation, default):
+            with pytest.raises(ValueError, match=rf"config key {key}: expected "):
+                _load(key, wrong)
+
+
 class TestValidation:
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ValueError, match=r"'video'.*nope"):

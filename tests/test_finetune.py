@@ -424,7 +424,7 @@ def _reference_collect(net, traces, spec, w, ppo, fc, rng, history_len, streams)
             if streams[e] is None:
                 env = SessionEnv(traces[int(rng.integers(len(traces)))], spec, w, history_len=history_len)
                 streams[e] = (env, env.reset())
-        x = np.stack([featurize(state, spec, fc) for _, state in streams])
+        x = np.vstack([featurize([state], spec, fc) for _, state in streams])
         probs, values = forward(net, x)
         us = rng.random(ppo.n_envs)
         for e, (env, _) in enumerate(streams):
@@ -438,7 +438,7 @@ def _reference_collect(net, traces, spec, w, ppo, fc, rng, history_len, streams)
     bootstraps = np.zeros(ppo.n_envs)
     for e in range(ppo.n_envs):
         if streams[e] is not None:
-            _, bootstraps[e] = forward(net, featurize(streams[e][1], spec, fc))
+            bootstraps[e] = forward(net, featurize([streams[e][1]], spec, fc))[1][0]
     feats, actions, logprobs, rewards, values, dones, logs = zip(*steps)
     return RolloutBatch(np.array(feats), np.array(actions), np.array(logprobs), np.array(rewards),
                         np.array(values), np.array(dones),
@@ -462,14 +462,14 @@ def _env_major_reference_collect(net, traces, spec, w, ppo, fc, rng, history_len
                 env = SessionEnv(traces[int(rng.integers(len(traces)))], spec, w, history_len=history_len)
                 streams[e] = (env, env.reset())
             env, state = streams[e]
-            x = featurize(state, spec, fc)
-            probs, value = forward(net, x)
-            a = sample_action(probs, rng)
+            [x] = featurize([state], spec, fc)
+            probs, value = forward(net, x[None])
+            [a] = sample_action(probs, rng).tolist()
             next_state, outcome, done = env.step(a)
             feats.append(x)
             actions.append(a)
-            logprobs.append(float(np.log(max(probs[a], PROB_FLOOR))))
-            values.append(value)
+            logprobs.append(float(np.log(max(probs[0, a], PROB_FLOOR))))
+            values.append(float(value[0]))
             rewards.append(0.0 if outcome is None else outcome.qoe)
             dones.append(done)
             if done:
@@ -478,7 +478,7 @@ def _env_major_reference_collect(net, traces, spec, w, ppo, fc, rng, history_len
             else:
                 streams[e] = (env, next_state)
         if streams[e] is not None:
-            _, bootstraps[e] = forward(net, featurize(streams[e][1], spec, fc))
+            bootstraps[e] = forward(net, featurize([streams[e][1]], spec, fc))[1][0]
         slices.append((lo, len(actions)))
     return RolloutBatch(np.array(feats), np.array(actions), np.array(logprobs), np.array(rewards),
                         np.array(values), np.array(dones), slices, bootstraps, episodes)

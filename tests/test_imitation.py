@@ -198,10 +198,10 @@ class TestDaggerRound:
                 env = SessionEnv(trace, spec, W, history_len=8)
                 state, visited = env.reset(), []
                 while not env.done and len(ref_feats) < cfg.rollout_steps:
-                    ref_feats.append(featurize(state, spec, fc))
+                    ref_feats.append(featurize([state], spec, fc)[0])
                     visited.append(state)
-                    probs, _ = forward(net, ref_feats[-1])
-                    state, _, _ = env.step(sample_action(probs, ref_rng))
+                    probs, _ = forward(net, ref_feats[-1][None])
+                    state, _, _ = env.step(sample_action(probs, ref_rng)[0])
                 ref_labels += list(labeler(ref_calls)(visited, trace))
             assert np.array_equal(feats, np.array(ref_feats))
             assert labels.tolist() == ref_labels

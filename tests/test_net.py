@@ -18,7 +18,6 @@ from abrlab.net import (
     feature_dim,
     featurize,
     forward,
-    greedy_action,
     init_policy_net,
     load_checkpoint,
     make_greedy_policy,
@@ -52,7 +51,7 @@ class TestFeaturize:
     def test_layout_and_scaling(self):
         spec = VideoSpec(size_jitter=(1.0, 1.0))
         fc = FeatureConfig(throughput_scale_bps=200e6)
-        x = featurize(_state(spec, buffer_s=60.0, prev=5, hist=(100e6,)), spec, fc)
+        [x] = featurize([_state(spec, buffer_s=60.0, prev=5, hist=(100e6,))], spec, fc)
         assert x.shape == (feature_dim(8, 6),) == (17,)
         assert x[0] == 1.0                      # buffer fill
         assert x[1] == 1.0                      # prev rate over top rate
@@ -63,13 +62,13 @@ class TestFeaturize:
 
     def test_half_buffer(self):
         spec = VideoSpec(size_jitter=(1.0, 1.0))
-        x = featurize(_state(spec, buffer_s=30.0), spec)
+        [x] = featurize([_state(spec, buffer_s=30.0)], spec)
         assert x[0] == pytest.approx(0.5)
         assert x[1] == pytest.approx(3000.0 / 120000.0)
 
     def test_empty_history_is_zero_padded(self):
         spec = VideoSpec(size_jitter=(1.0, 1.0))
-        x = featurize(_state(spec), spec)
+        [x] = featurize([_state(spec)], spec)
         assert np.array_equal(x[2:10], np.zeros(8))
 
     def test_long_history_keeps_newest(self):
@@ -83,13 +82,13 @@ class TestFeaturize:
             state, _, _ = env.step(0)
         newest = [o.effective_throughput_bps for o in env.outcomes[-2:]]
         assert env.outcomes[0].effective_throughput_bps not in newest
-        x = featurize(state, spec, FeatureConfig(throughput_scale_bps=1.0))
+        [x] = featurize([state], spec, FeatureConfig(throughput_scale_bps=1.0))
         assert x.shape == (feature_dim(2, 6),)
         assert np.array_equal(x[2:4], newest)
 
     def test_values_roughly_unit_scaled(self):
         spec = VideoSpec()
-        x = featurize(_state(spec, buffer_s=20.0, prev=3, hist=(50e6, 80e6), chunk_index=10), spec)
+        x = featurize([_state(spec, buffer_s=20.0, prev=3, hist=(50e6, 80e6), chunk_index=10)], spec)
         assert np.all(np.abs(x) <= 1.5)
 
 
@@ -117,7 +116,7 @@ class TestFeaturize:
 
         batch = featurize(states, spec, fc)
         assert batch.shape == (len(states), feature_dim(8, 6))
-        assert np.array_equal(batch, np.stack([featurize(s, spec, fc) for s in states]))
+        assert np.array_equal(batch, np.vstack([featurize([s], spec, fc) for s in states]))
         assert np.array_equal(batch, np.stack([reference(s) for s in states]))
         assert np.array_equal(featurize(states[5:6], spec, fc), batch[5:6])
 
@@ -126,9 +125,9 @@ class TestForward:
     def test_zero_net_is_uniform_with_zero_value(self):
         cfg = NetConfig(input_dim=17, num_actions=6)
         net = PolicyNet(cfg)
-        probs, value = forward(net, np.ones(17))
-        assert np.allclose(probs, np.full(6, 1.0 / 6.0))
-        assert value == 0.0
+        probs, values = forward(net, np.ones((1, 17)))
+        assert np.allclose(probs, np.full((1, 6), 1.0 / 6.0))
+        assert values.tolist() == [0.0]
 
     def test_softmax_one_hot_logit(self):
         p = softmax(np.array([1.0, 0, 0, 0, 0, 0]))
@@ -150,14 +149,19 @@ class TestForward:
         xs = np.random.default_rng(2).normal(0, 1, (6, 5))
         pb, vb = forward(net, xs)
         for i in range(6):
-            p1, v1 = forward(net, xs[i])
-            assert np.allclose(pb[i], p1)
-            assert vb[i] == pytest.approx(v1)
+            p1, v1 = forward(net, xs[i : i + 1])
+            assert np.allclose(pb[i], p1[0])
+            assert vb[i] == pytest.approx(v1[0])
+
+    def test_one_feature_vector_is_rejected(self):
+        net = PolicyNet(NetConfig(input_dim=17, num_actions=6))
+        with pytest.raises(ValueError, match=r"\(n, d\) feature matrix, got shape \(17,\)"):
+            forward(net, np.ones(17))
 
     def test_init_action_head_near_uniform(self):
         cfg = NetConfig(input_dim=17, num_actions=6)
         net = init_policy_net(cfg, seed=3)
-        probs, _ = forward(net, np.random.default_rng(4).normal(0, 1, 17))
+        probs, _ = forward(net, np.random.default_rng(4).normal(0, 1, (1, 17)))
         assert probs.max() - probs.min() < 0.05
 
     def test_init_deterministic_per_seed(self):
@@ -184,38 +188,34 @@ class TestParamViews:
 
 
 class TestSampling:
-    def test_greedy_is_argmax_tie_to_lower(self):
-        assert greedy_action(np.array([0.4, 0.4, 0.2])) == 0
-        assert greedy_action(np.array([0.1, 0.7, 0.2])) == 1
-
     def test_sampling_deterministic_per_seed(self):
-        probs = np.array([0.2, 0.5, 0.3])
-        a = [sample_action(probs, np.random.default_rng(9)) for _ in range(5)]
-        b = [sample_action(probs, np.random.default_rng(9)) for _ in range(5)]
+        probs = np.array([[0.2, 0.5, 0.3]])
+        a = [sample_action(probs, np.random.default_rng(9)).tolist() for _ in range(5)]
+        b = [sample_action(probs, np.random.default_rng(9)).tolist() for _ in range(5)]
         assert a == b
 
     def test_degenerate_distributions(self):
         rng = np.random.default_rng(0)
-        assert all(sample_action(np.array([1.0, 0.0]), rng) == 0 for _ in range(20))
-        assert all(sample_action(np.array([0.0, 1.0]), rng) == 1 for _ in range(20))
+        assert all(sample_action(np.array([[1.0, 0.0]]), rng).tolist() == [0] for _ in range(20))
+        assert all(sample_action(np.array([[0.0, 1.0]]), rng).tolist() == [1] for _ in range(20))
 
     def test_empirical_frequencies(self):
-        probs = np.array([0.5, 0.3, 0.2])
+        probs = np.array([[0.5, 0.3, 0.2]])
         rng = np.random.default_rng(123)
-        draws = np.array([sample_action(probs, rng) for _ in range(60000)])
+        draws = np.concatenate([sample_action(probs, rng) for _ in range(60000)])
         freq = np.bincount(draws, minlength=3) / draws.size
-        assert np.allclose(freq, probs, atol=0.01)
+        assert np.allclose(freq, probs[0], atol=0.01)
 
     def test_policy_wrappers(self):
         spec = VideoSpec(size_jitter=(1.0, 1.0))
         cfg = NetConfig(input_dim=17, num_actions=6)
         net = init_policy_net(cfg, 5)
         s = _state(spec, buffer_s=30.0, hist=(40e6,))
-        probs, _ = forward(net, featurize(s, spec))
-        assert make_greedy_policy(net, spec)(s) == int(np.argmax(probs))
+        probs, _ = forward(net, featurize([s], spec))
+        assert make_greedy_policy(net, spec)(s) == int(np.argmax(probs[0]))
         r1 = sample_action(probs, np.random.default_rng(1))
         r2 = sample_action(probs, np.random.default_rng(1))
-        assert r1 == r2
+        assert r1.tolist() == r2.tolist()
 
     def test_greedy_batch_breaks_ties_toward_the_lower_rung(self):
         spec = VideoSpec(size_jitter=(1.0, 1.0))
@@ -254,7 +254,7 @@ class TestBatchedSampling:
         rows, ones, ref = (np.random.default_rng(21) for _ in range(3))
         picks = sample_action(probs, rows)
         assert picks.shape == (200,)
-        assert picks.tolist() == [sample_action(p, ones) for p in probs]
+        assert picks.tolist() == [int(sample_action(p[None], ones)[0]) for p in probs]
         assert picks.tolist() == [_searchsorted_draw(p, ref) for p in probs]
         assert rows.random() == ones.random() == ref.random()
 
@@ -271,7 +271,7 @@ class TestBatchedSampling:
         matrix = np.tile(probs, (len(us), 1))
         assert sample_action(matrix, _FixedUniforms(us)).tolist() == want
         one_row = _FixedUniforms(us)
-        assert [sample_action(probs, one_row) for _ in us] == want
+        assert [int(sample_action(probs[None], one_row)[0]) for _ in us] == want
         searchsorted = _FixedUniforms(us)
         assert [_searchsorted_draw(probs, searchsorted) for _ in us] == want
 
@@ -294,7 +294,7 @@ class TestBackward:
     def test_zero_head_gradients_give_zero(self):
         net = init_policy_net(self.CFG, 0)
         x = np.random.default_rng(1).normal(0, 1, (4, 7))
-        g = backward(net, x, np.zeros((4, 3)), np.zeros(4))
+        g = backward(net, forward(net, x, with_cache=True)[2], np.zeros((4, 3)), np.zeros(4))
         assert np.array_equal(g, np.zeros(net.size))
 
     def test_linear_in_head_gradients(self):
@@ -303,8 +303,9 @@ class TestBackward:
         x = rng.normal(0, 1, (4, 7))
         dl = rng.normal(0, 1, (4, 3))
         dv = rng.normal(0, 1, 4)
-        g1 = backward(net, x, dl, dv)
-        g2 = backward(net, x, 2.0 * dl, 2.0 * dv)
+        cache = forward(net, x, with_cache=True)[2]
+        g1 = backward(net, cache, dl, dv)
+        g2 = backward(net, cache, 2.0 * dl, 2.0 * dv)
         assert np.allclose(g2, 2.0 * g1)
 
     def test_head_gradient_matches_finite_differences(self):
@@ -313,7 +314,7 @@ class TestBackward:
         x = rng.normal(0, 1, (5, 7))
         dl = rng.normal(0, 1, (5, 3))
         dv = rng.normal(0, 1, 5)
-        analytic = backward(net, x, dl, dv)
+        analytic = backward(net, forward(net, x, with_cache=True)[2], dl, dv)
 
         def loss(params):
             trial = PolicyNet(self.CFG, params)
@@ -336,7 +337,7 @@ class TestBackward:
         probs, _, cache = forward(net, x, with_cache=True)
         dl = probs.copy()
         dl[np.arange(6), y] -= 1.0
-        analytic = backward(net, x, dl / 6.0, np.zeros(6), cache=cache)
+        analytic = backward(net, cache, dl / 6.0, np.zeros(6))
 
         def loss(params):
             p, _ = forward(PolicyNet(self.CFG, params), x)
@@ -353,7 +354,7 @@ class TestBackward:
 
         _, values, cache = forward(net, x, with_cache=True)
         dv = 2.0 * (values - target) / 6.0
-        analytic = backward(net, x, np.zeros((6, 3)), dv, cache=cache)
+        analytic = backward(net, cache, np.zeros((6, 3)), dv)
 
         def loss(params):
             _, v = forward(PolicyNet(self.CFG, params), x)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from abrlab.auditor import AuditConfig, make_auditor, make_oracle_auditor
+from abrlab.auditor import AuditConfig, AuditDecision, make_auditor, make_oracle_auditor
 from abrlab.capacity import LowerBoundPredictor, PointPredictor, PredictorConfig
 from abrlab.net import NetConfig, feature_dim, init_policy_net, make_greedy_policy
 from abrlab.policies import make_bola_policy, make_rate_rule_policy, make_robust_mpc_policy
@@ -343,8 +343,7 @@ def _replay_one(trace, spec, w, policy, auditor=None):
     while not env.done:
         raw = int(policy(state))
         decision = auditor(state, env.measured_history_bps(), raw) if auditor is not None else None
-        rung = int(decision.safe_rung) if decision is not None else raw
-        state, _, _ = env.step(rung, audit=decision, raw_rung=raw)
+        state, _, _ = env.step(raw, decision)
     return env.finish()
 
 
@@ -419,6 +418,33 @@ class TestRunSessions:
         # 1.5e6-byte chunks at 2.5e6 bytes/s: the 2-s trace holds 3 of them,
         # and the fourth request truncates it
         assert calls == [[0, 0, 0], [1, 1, 1], [2, 2, 2], [3, 3, 3], [4, 4], [5, 5]]
+
+
+class TestOutOfLadderRequests:
+    """A request off the ladder fails audited or not; an auditor does not
+    hide it by executing a rung of its own."""
+
+    TRACES = [synthesize_trace(SynthConfig(duration_s=300, seed=(78, i)), trace_id=f"off-{i}") for i in range(2)]
+
+    @pytest.mark.parametrize("audit", list(_AUDITORS))
+    @pytest.mark.parametrize("rung", [9, -1])
+    def test_a_request_off_the_ladder_fails(self, audit, rung):
+        spec, w, make = VideoSpec(num_chunks=6), QoEWeights(), _AUDITORS[audit]
+
+        def policy(state):  # the point auditor has a forecast from chunk 1 on
+            return 0 if state.chunk_index < 2 else rung
+
+        match = f"policy requested rung {rung} outside the ladder"
+        with pytest.raises(ValueError, match=match):
+            run_session(self.TRACES[0], spec, w, policy, None if make is None else make(self.TRACES[0]))
+        with pytest.raises(ValueError, match=match):
+            run_sessions(self.TRACES, spec, w, policy, None if make is None else [make(tr) for tr in self.TRACES])
+
+    def test_an_executed_rung_off_the_ladder_fails(self):
+        env = SessionEnv(_const_trace(50e6), _spec(), QoEWeights())
+        with pytest.raises(ValueError, match="auditor chose rung 6 outside the ladder"):
+            env.step(2, AuditDecision(raw_rung=2, safe_rung=6, intervened=True, fallback=False))
+        assert env.outcomes == []
 
 
 class TestSessionEnv:
