@@ -122,13 +122,10 @@ class RunContext:
                     for key, label in (("fingerprint", "config fingerprint"), ("trace_set", "trace set"))
                     if record.get(key, "") != expected[key]]
         if problems:
-            self.refuse(f"{what} is stale ({'; '.join(problems)}); rebuild it or pass --allow-stale")
-
-    def refuse(self, msg: str) -> None:
-        """Raise `msg` as a StageError, or under --allow-stale print it as a warning."""
-        if not vars(self.args).get("allow_stale"):
-            raise StageError(msg)
-        print(f"warning: {msg}", file=sys.stderr)
+            msg = f"{what} is stale ({'; '.join(problems)}); rebuild it or pass --allow-stale"
+            if not vars(self.args).get("allow_stale"):
+                raise StageError(msg)
+            print(f"warning: {msg}", file=sys.stderr)
 
     def stem(self, kind: str) -> str:
         """File stem of the `bc` (cloned) or `ppo` (fine-tuned) checkpoint."""
@@ -149,7 +146,7 @@ class RunContext:
             raise StageError(f"{path} not found; run `abrlab {stage}` first")
         net, meta = load_checkpoint(path)
         self.check_fresh(path.name, meta, expected)
-        return net, meta
+        return net
 
     def save_policy(self, kind: str, net, side: list, meta: dict | None = None) -> None:
         self.ckpt_dir.mkdir(exist_ok=True)
@@ -162,12 +159,7 @@ class RunContext:
         if kind not in self._policies:
             cfg = self.cfg
             if kind in CHECKPOINTS:
-                net, meta = self.load_policy(kind)
-                steps, total = int(meta.get("steps_trained", 0)), cfg.ppo.total_steps
-                if kind == "ppo" and steps < total:
-                    self.refuse(f"{self.ckpt_path(kind).name} is stale (trained for {steps} steps of "
-                                f"ppo.total_steps {total}); run `abrlab finetune --resume` or pass --allow-stale")
-                policy = make_greedy_policy(net, self.spec, cfg.features)
+                policy = make_greedy_policy(self.load_policy(kind), self.spec, cfg.features)
             else:
                 policy = {"rate-rule": make_rate_rule_policy, "bola": partial(make_bola_policy, cfg.bola),
                           "robust-mpc": partial(make_robust_mpc_policy, self.spec, self.w, cfg.mpc)}[kind]()
@@ -257,31 +249,12 @@ def cmd_pretrain(ctx: RunContext) -> int:
 
 def cmd_finetune(ctx: RunContext) -> int:
     cfg = ctx.cfg
-    stem = ctx.stem("ppo")
-    steps_done, prev_curve = 0, []
-    if ctx.args.resume and ctx.ckpt_path("ppo").exists():
-        net, meta = ctx.load_policy("ppo")
-        steps_done = int(meta.get("steps_trained", 0))
-        if ctx.side_path("ppo").exists():
-            prev_curve = json.loads(ctx.side_path("ppo").read_text(encoding="utf-8"))
-        if steps_done >= cfg.ppo.total_steps:
-            print(f"{stem}.ckpt already trained for {steps_done} steps; nothing to resume")
-            return 0
-    else:
-        net, _ = ctx.load_policy("bc")
-    ppo_cfg = dataclasses.replace(cfg.ppo, total_steps=cfg.ppo.total_steps - steps_done)
-    tuned, curve = finetune(net, ctx.traces("train"), ctx.spec, ctx.w, ppo_cfg, cfg.cvar,
+    tuned, curve = finetune(ctx.load_policy("bc"), ctx.traces("train"), ctx.spec, ctx.w, cfg.ppo, cfg.cvar,
                             cfg.features, seed=cfg.seed, history_len=cfg.history_len)
-    for row in curve:
-        row["steps"] += steps_done
-        row["update"] += len(prev_curve)
-    curve = prev_curve + curve
-    ctx.save_policy("ppo", tuned, curve, {"lambda": cfg.cvar.penalty_weight,
-                                          "steps_trained": curve[-1]["steps"] if curve else steps_done})
-    last = curve[-1] if curve else {}
-    print(f"finetuned {stem}.ckpt: updates={len(curve)} steps={last.get('steps', 0)} "
-          f"mean_qoe={last.get('mean_episode_qoe', float('nan')):.3f} "
-          f"mean_rebuf={last.get('mean_episode_rebuffer_s', float('nan')):.3f}s")
+    last = curve[-1]  # ppo.total_steps >= 1, so there is at least one update
+    ctx.save_policy("ppo", tuned, curve, {"lambda": cfg.cvar.penalty_weight, "steps_trained": last["steps"]})
+    print(f"finetuned {ctx.stem('ppo')}.ckpt: updates={len(curve)} steps={last['steps']} "
+          f"mean_qoe={last['mean_episode_qoe']:.3f} mean_rebuf={last['mean_episode_rebuffer_s']:.3f}s")
     return 0
 
 
@@ -383,8 +356,6 @@ FLAGS = {
     "--guard": {"type": float, "help": "override audit guard seconds"},
     "--allow-stale": {"action": "store_true",
                       "help": "use artifacts whose fingerprint no longer matches the config"},
-    "--resume": {"action": "store_true",
-                 "help": "continue a partially fine-tuned checkpoint up to the configured steps"},
     "--methods": {"help": "comma-separated subset of methods to evaluate"},
     "--handover-heavy": {"action": "store_true", "help": "restrict to the most handover-dense test traces"},
     "--margin-grid": {"action": "store_true", "help": "also sweep audited methods over eval.margin_grid"},
@@ -410,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("split", cmd_split, "re-partition the trace pool into train/calibration/test", "--seed")
     add("pretrain", cmd_pretrain, "clone the planning expert into a neural policy", "--seed")
     add("finetune", cmd_finetune, "risk-shaped policy-gradient fine-tuning",
-        "--seed", "--lambda", "--allow-stale", "--resume")
+        "--seed", "--lambda", "--allow-stale")
     add("calibrate", cmd_calibrate, "fit the lower-bound scale and score predictor candidates",
         *AUDIT_FLAGS)
     add("evaluate", cmd_evaluate, "score methods on the test split",

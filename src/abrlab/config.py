@@ -176,7 +176,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if top.default_factory is MISSING:
             kwargs[top.name] = _coerce(data[top.name], str(top.type), top.name)
             continue
-        section = dict(data[top.name] or {})
+        section = {} if data[top.name] is None else data[top.name]
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {top.name!r}: expected a mapping, got {section!r}")
         types = {f.name: str(f.type) for f in fields(top.default_factory)}
         unknown = set(section) - set(types)
         if unknown:
@@ -221,10 +223,8 @@ def bc_fingerprint(cfg: ExperimentConfig) -> str:
 
 def ppo_fingerprint(cfg: ExperimentConfig) -> str:
     raw = config_to_dict(cfg)
-    ppo = dict(raw["ppo"])
-    ppo.pop("total_steps")  # resuming to a larger budget is not staleness
     return _digest({
-        "upstream": bc_fingerprint(cfg), "ppo": ppo, "cvar": raw["cvar"],
+        "upstream": bc_fingerprint(cfg), "ppo": raw["ppo"], "cvar": raw["cvar"],
     })
 
 

@@ -34,6 +34,11 @@ class FeatureConfig:
 
     throughput_scale_bps: float = 200e6  # generous link-rate reference
 
+    def __post_init__(self):
+        # featurize divides throughput by it: 0 fills the columns with inf or nan, inf with 0
+        if not (math.isfinite(self.throughput_scale_bps) and self.throughput_scale_bps > 0.0):
+            raise ValueError(f"throughput_scale_bps must be finite and positive, got {self.throughput_scale_bps}")
+
 
 def feature_dim(history_len: int, num_rungs: int) -> int:
     return history_len + num_rungs + 3

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -235,27 +235,18 @@ def handover_heavy_subset(
     traces: Iterable[ThroughputTrace],
     window_s: float,
     top_fraction: float,
-    groups: Mapping[str, str] | None = None,
 ) -> list[str]:
     """Ids of the most handover-dense traces.
 
     Counts handover events in the first `window_s` seconds of each trace
-    (from its first sample), keeps the top `top_fraction` (ceil) per group
-    (one global group when `groups` is None), and breaks count ties toward
-    the trace with the largest single-second throughput drop inside the window.
+    (from its first sample), keeps the top `top_fraction` (ceil), and breaks
+    count ties toward the trace with the largest single-second throughput
+    drop inside the window.
     """
     if window_s <= 0:
         raise TraceValidationError("window_s must be positive")
     if not (0.0 < top_fraction <= 1.0):
         raise TraceValidationError("top_fraction must lie in (0, 1]")
-    by_group: dict[str, list[tuple[int, float, str]]] = {}
-    for tr in traces:
-        count, drop = _window_stats(tr, window_s)
-        key = groups.get(tr.trace_id, "") if groups is not None else ""
-        by_group.setdefault(key, []).append((count, drop, tr.trace_id))
-    selected: list[str] = []
-    for key in sorted(by_group):
-        ranked = sorted(by_group[key], key=lambda s: (-s[0], -s[1], s[2]))
-        k = int(math.ceil(top_fraction * len(ranked)))
-        selected.extend(tid for _, _, tid in ranked[:k])
-    return selected
+    ranked = sorted(((*_window_stats(tr, window_s), tr.trace_id) for tr in traces),
+                    key=lambda s: (-s[0], -s[1], s[2]))
+    return [tid for _, _, tid in ranked[:math.ceil(top_fraction * len(ranked))]]

@@ -530,35 +530,6 @@ class TestStaleness:
                      "--methods", "bc-only", "--allow-stale"]) == 0
         assert "warning" in capsys.readouterr().err
 
-    def test_total_steps_growth_is_not_staleness(self, trained, capsys):
-        tmp_path, cfg, run = trained
-        assert main(["finetune", "--config", str(cfg), "--out", str(run)]) == 0
-        curve_path = run / "checkpoints" / "ppo_lambda20_seed5_curve.json"
-        assert [row["steps"] for row in json.loads(curve_path.read_text())] == [64, 128]
-
-        bigger = _write_cfg(tmp_path / "bigger.yaml",
-                            traces={"count": 6, "duration_s": 180},
-                            bc={"dagger_iterations": 1, "rollout_steps": 60, "epochs": 1,
-                                "batch_size": 32, "expert_horizon": 3},
-                            ppo={"total_steps": 256, "n_steps": 32, "n_envs": 2,
-                                 "minibatch_size": 32, "epochs": 1})
-        assert main(["finetune", "--config", str(bigger), "--out", str(run), "--resume"]) == 0
-        curve = json.loads(curve_path.read_text())
-        assert [row["update"] for row in curve] == [1, 2, 3, 4]
-        assert [row["steps"] for row in curve] == [64, 128, 192, 256]
-        _, meta = load_checkpoint(run / "checkpoints" / "ppo_lambda20_seed5.ckpt")
-        assert meta["steps_trained"] == 256
-
-    def test_resume_with_nothing_left_is_a_no_op(self, trained, capsys):
-        tmp_path, cfg, run = trained
-        assert main(["finetune", "--config", str(cfg), "--out", str(run)]) == 0
-        ckpt = run / "checkpoints" / "ppo_lambda20_seed5.ckpt"
-        before = ckpt.read_bytes()
-        capsys.readouterr()
-        assert main(["finetune", "--config", str(cfg), "--out", str(run), "--resume"]) == 0
-        assert "nothing to resume" in capsys.readouterr().out
-        assert ckpt.read_bytes() == before
-
     def test_lambda_override_names_its_own_checkpoint(self, trained):
         tmp_path, cfg, run = trained
         assert main(["finetune", "--config", str(cfg), "--out", str(run), "--lambda", "0"]) == 0
@@ -582,8 +553,7 @@ class TestStaleness:
         assert "warning: calibration.json is stale" in capsys.readouterr().err
 
     def test_under_trained_ppo_checkpoint_is_stale(self, trained, capsys):
-        # ppo_fingerprint leaves total_steps out so that --resume works; a
-        # checkpoint trained for fewer steps than the config asks is stale
+        # ppo.total_steps is part of ppo_fingerprint, like every other ppo key
         tmp_path, cfg, run = trained
         assert main(["finetune", "--config", str(cfg), "--out", str(run)]) == 0
         capsys.readouterr()
@@ -592,13 +562,13 @@ class TestStaleness:
         for stage, *argv in (["calibrate"], ["evaluate", "--methods", "bc+rl"]):
             assert main([stage, "--config", str(bigger), "--out", str(run), *argv]) == 2
             err = capsys.readouterr().err
-            assert "ppo_lambda20_seed5.ckpt is stale (trained for 128 steps of ppo.total_steps 256)" in err
-            assert "abrlab finetune --resume" in err and "--allow-stale" in err
+            assert "ppo_lambda20_seed5.ckpt is stale (config fingerprint" in err
+            assert "trace set" not in err and "--allow-stale" in err
         assert not (run / "calibration.json").exists()
 
         assert main(["evaluate", "--config", str(bigger), "--out", str(run),
                      "--methods", "bc+rl", "--allow-stale"]) == 0
-        assert "warning: ppo_lambda20_seed5.ckpt is stale" in capsys.readouterr().err
+        assert "warning: ppo_lambda20_seed5.ckpt is stale (config fingerprint" in capsys.readouterr().err
 
     def test_drifted_bc_makes_calibrate_refuse_its_frozen_policy(self, trained, capsys):
         tmp_path, cfg, run = trained

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from abrlab.cli import main
 from abrlab.config import (
     ALL_METHODS,
     ExperimentConfig,
@@ -309,6 +310,23 @@ class TestValidation:
         path.write_text("# nothing but a comment\n", encoding="utf-8")
         assert load_config(path) == ExperimentConfig()
 
+    @pytest.mark.parametrize("text", ["video: 5", "video: [1, 2]", "ppo: abc"])
+    def test_non_mapping_section_is_an_error_line(self, tmp_path, capsys, text):
+        # video died in a TypeError traceback; ppo's message did not name the section
+        path = tmp_path / "exp.yaml"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert main(["gen-traces", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        section = text.split(":")[0]
+        assert f"error: config section '{section}': expected a mapping" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_feature_scale_rejected_at_load(self, scale):
+        # a scale of 0 loaded, and pretrain ran its whole DAgger schedule
+        # before refusing a checkpoint full of non-finite parameters
+        with pytest.raises(ValueError, match="throughput_scale_bps must be finite and positive"):
+            config_from_dict({"features": {"throughput_scale_bps": scale}})
+
     def test_non_mapping_file_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"
         path.write_text("- 1\n- 2\n", encoding="utf-8")
@@ -359,9 +377,9 @@ class TestFingerprints:
         ]
         assert all(bc_fingerprint(c) == base for c in unchanged)
 
-    def test_ppo_fingerprint_ignores_total_steps(self):
+    def test_ppo_fingerprint_sensitivity(self):
         base = ppo_fingerprint(ExperimentConfig())
-        assert ppo_fingerprint(_tweak(ppo={"total_steps": 512})) == base
+        assert ppo_fingerprint(_tweak(ppo={"total_steps": 512})) != base  # no ppo key is exempt
         assert ppo_fingerprint(_tweak(ppo={"learning_rate": 1e-5})) != base
         assert ppo_fingerprint(_tweak(ppo={"gamma": 0.5})) != base
         assert ppo_fingerprint(_tweak(cvar={"penalty_weight": 0.0})) != base

@@ -5,16 +5,19 @@ one runs nothing; the test imports it, then calls `main()` with its printout
 captured. The five take a few seconds together. README's library quick start
 runs as it stands. The shell demo and README's CLI quick start are too slow
 to run here, so each of their `abrlab` lines is only parsed by the CLI's own
-parser.
+parser. Every flag README's prose names is an option of some subcommand, and
+every flag the CLI defines is attached to one.
 """
 
+import argparse
 import importlib.util
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from abrlab.cli import build_parser
+from abrlab.cli import FLAGS, build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
@@ -42,6 +45,25 @@ def test_documented_command_parses(source, line):
             for tok in shlex.split(line, comments=True)]
     args = build_parser().parse_args(argv[1:])
     assert args.fn.__name__ == f"cmd_{argv[1].replace('-', '_')}"
+
+
+def _subcommand_options() -> set[str]:
+    """Every option string of every subcommand of the CLI's parser."""
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {opt for p in sub.choices.values() for opt in p._option_string_actions}
+
+
+def test_flags_named_in_readme_exist():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    prose = "".join(re.split(r"```.*?```", readme, flags=re.S))  # outside fenced blocks
+    named = {flag for span in re.findall(r"`([^`\n]+)`", prose)
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", span)}
+    assert "--allow-stale" in named
+    assert named - _subcommand_options() == set()
+
+
+def test_every_defined_flag_is_attached():
+    assert set(FLAGS) - _subcommand_options() == set()
 
 
 def test_all_five_demos_found():

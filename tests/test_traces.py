@@ -328,17 +328,6 @@ class TestHandoverHeavySubset:
         traces = [late("a-one", np.array([5.0])), late("b-twenty", 7.0 * np.arange(20))]
         assert handover_heavy_subset(traces, window_s=300.0, top_fraction=0.5) == ["b-twenty"]
 
-    def test_groups_select_per_group(self):
-        traces = [
-            _flat_trace("g1-lo", np.zeros(0)),
-            _flat_trace("g1-hi", np.array([1.0, 2.0])),
-            _flat_trace("g2-lo", np.zeros(0)),
-            _flat_trace("g2-hi", np.array([1.0])),
-        ]
-        groups = {"g1-lo": "g1", "g1-hi": "g1", "g2-lo": "g2", "g2-hi": "g2"}
-        picked = handover_heavy_subset(traces, 300.0, 0.5, groups=groups)
-        assert sorted(picked) == ["g1-hi", "g2-hi"]
-
     def test_ceil_keeps_at_least_one(self):
         traces = [_flat_trace(f"t{i}", np.zeros(0)) for i in range(7)]
         assert len(handover_heavy_subset(traces, 300.0, 0.3)) == math.ceil(0.3 * 7)
