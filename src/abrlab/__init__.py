@@ -25,7 +25,7 @@ from .net import (Adam, FeatureConfig, NetConfig, PolicyNet, backward, feature_d
 from .policies import (BolaConfig, MpcConfig, beam_expert_decide, beam_expert_labels, bola_decide,
                        bulk_download_times, make_bola_policy, make_expert_policy,
                        make_rate_rule_policy, make_robust_mpc_policy, rate_rule_decide,
-                       robust_mpc_decide, throughput_estimate, trace_cumulative_bytes)
+                       robust_mpc_decide, robust_mpc_labels, throughput_estimate, trace_cumulative_bytes)
 from .risk_ppo import (CvarConfig, EpisodeInfo, PpoConfig, RolloutBatch, RolloutCollector,
                        clipped_surrogate, empirical_cvar, finetune, gae_advantages,
                        ppo_update, shape_terminal_rewards)

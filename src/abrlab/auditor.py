@@ -10,7 +10,8 @@ only ever moves requests down, so it can cap tail risk but never adds it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,15 +33,16 @@ class AuditConfig:
             raise ValueError(f"capacity_margin must lie in (0, 1], got {self.capacity_margin}")
 
 
-@dataclass(frozen=True)
-class AuditDecision:
+class AuditDecision(NamedTuple):
+    """One audited request, an immutable record like `sim.ChunkOutcome`."""
+
     raw_rung: int
     safe_rung: int
     intervened: bool
     fallback: bool
     predicted_capacity_bps: float = float("nan")
     effective_capacity_bps: float = float("nan")
-    feasible_rungs: np.ndarray = field(default_factory=lambda: _EMPTY)
+    feasible_rungs: np.ndarray = _EMPTY
 
 
 def feasible_set(state: PlayerState, sizes_bytes: np.ndarray, predicted_bps: float,

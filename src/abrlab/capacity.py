@@ -59,7 +59,8 @@ def point_predict(history_bps: np.ndarray, horizon_s: int) -> float:
     h = np.asarray(history_bps, dtype=np.float64)
     if h.size == 0:
         raise ValueError("cannot forecast from an empty history")
-    return float(h[-min(horizon_s, h.size):].mean())
+    window = h[-min(horizon_s, h.size):]
+    return float(np.add.reduce(window) / window.size)  # ndarray.mean's own steps, without its wrapper
 
 
 def realized_target(trace: ThroughputTrace, t: float, horizon_s: int) -> float:

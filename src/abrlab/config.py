@@ -127,6 +127,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.history_len < 1:
             raise ValueError("history_len must be at least 1")
+        # The library's pretrain returns a fresh net after 0 rounds; the
+        # pipeline would save it as a checkpoint with a NaN loss.
+        if self.bc.dagger_iterations < 1:
+            raise ValueError(f"bc.dagger_iterations must be at least 1, got {self.bc.dagger_iterations}")
         if "robust-mpc" in self.eval.methods and self.mpc.history_len > self.history_len:
             raise ValueError(f"mpc.history_len ({self.mpc.history_len}) may not exceed history_len "
                              f"({self.history_len}), the throughput samples a session keeps")

@@ -52,6 +52,8 @@ def featurize(states: Sequence[PlayerState], spec: VideoSpec, fc: FeatureConfig 
              remaining-chunk fraction, per-rung next chunk sizes / top size].
     Each row is filled with the raw values, then divided by `_feature_scale`.
     """
+    if isinstance(states, PlayerState):
+        raise TypeError("featurize takes a sequence of states; wrap a lone state in a list")
     k, ladder = len(states[0].throughput_history), states[0].ladder_kbps
     out = np.empty((len(states), feature_dim(k, len(ladder))))
     for row, s in zip(out, states):

@@ -1,20 +1,19 @@
 """Rule-based and planning decision functions.
 
 Every policy here is a pure function of its arguments: same state (plus
-trace/spec for the planners), same rung. The two planners score plans with
-one per-chunk QoE and buffer recurrence on arrays (`_plan_step`). Robust MPC
-times every ladder^horizon plan (7776 at the default 6-rung ladder, horizon
-5) with a constant forecast, one broadcast array per level whose axis h is
-the rung of chunk h. The clairvoyant expert times downloads against
-the true trace and does not time every plan: it labels a batch of states in
-one exact branch-and-bound search, level by level, which returns the labels
-that full enumeration would.
+trace/spec for the planners), same rung. The two planners share one plan
+search (`_plan_labels`): an exact branch-and-bound over a batch of states,
+level by level, that returns the labels scoring every ladder^horizon plan
+would, and scores plans with one per-chunk QoE and buffer recurrence on
+arrays (`_plan_step`). They differ only in how long a download takes:
+robust MPC divides each chunk's bits by a constant robust forecast, and the
+clairvoyant expert integrates downloads against the true trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,40 +102,14 @@ def throughput_estimate(state: PlayerState, cfg: MpcConfig) -> float:
 def _plan_step(q, b, prev, rung, d, rates, w: QoEWeights, chunk_duration_s: float, buffer_max_s: float):
     """One chunk of every partial plan, on arrays: the plans' QoE and buffer
     after downloading `rung` (after `prev`) in `d` seconds. `rates` is in
-    kbps; the other arrays broadcast against each other. Both planners score
-    plans with it, so they score them alike."""
+    kbps; the other arrays broadcast against each other. The plan search and
+    its stall-free bound both score chunks with it, so they score them alike."""
     rate = rates[rung]
     rebuf = np.maximum(d - b, 0.0)
     q = q + (rate / 1000.0 - w.rebuffer_penalty * rebuf
              - w.smoothness_penalty * np.abs(rate - rates[prev]) / 1000.0)
     b = np.minimum(buffer_max_s, np.maximum(b - d, 0.0) + chunk_duration_s)
     return q, b
-
-
-def robust_mpc_decide(state: PlayerState, spec: VideoSpec, w: QoEWeights, cfg: MpcConfig = MpcConfig()) -> int:
-    """Model-predictive rung choice under a constant robust throughput forecast.
-
-    Simulates every plan over the (remaining-clipped) horizon with download
-    times 8*size/estimate, scores each by summed per-chunk QoE, and returns
-    the first rung of the best plan; ties break toward the lower first rung.
-    The plans are one array per level, built by broadcasting: axis h of `q`
-    and `b` is the rung of chunk h, so no plan's rungs are stored or gathered.
-    """
-    horizon = min(cfg.horizon, state.remaining_chunks)
-    est = throughput_estimate(state, cfg)
-    if est <= 0.0:
-        return 0
-    d_mat = 8.0 * spec.sizes[state.chunk_index : state.chunk_index + horizon] / est
-    rates = np.asarray(state.ladder_kbps, dtype=np.float64)
-    rung = np.arange(rates.size)
-    q, b, prev = np.zeros(()), np.asarray(state.buffer_s, dtype=np.float64), state.prev_rung
-    for h in range(horizon):  # every ladder^horizon plan, level by level
-        q, b = _plan_step(q[..., None], b[..., None], prev, rung, d_mat[h], rates, w,
-                          state.chunk_duration_s, state.buffer_max_s)
-        prev = rung[:, None]  # chunk h's rung, on the second-to-last axis of the next level
-    # Flattened in C order the first chunk varies slowest, so argmax's
-    # first-hit tie rule lands on the lowest first rung.
-    return int(np.argmax(q)) // (rates.size ** (horizon - 1))
 
 
 def bulk_download_times(
@@ -172,7 +145,7 @@ def trace_cumulative_bytes(trace: ThroughputTrace) -> np.ndarray:
 
 
 class _Plans(NamedTuple):
-    """Partial plans of the expert's search, one entry per node."""
+    """Partial plans of the plan search, one entry per node."""
 
     buffer: np.ndarray
     qoe: np.ndarray
@@ -196,17 +169,15 @@ def _stall_free_qoe(rates: np.ndarray, w: QoEWeights) -> np.ndarray:
     return qoe.reshape(n, n)
 
 
-def beam_expert_labels(
-    states: list[PlayerState], trace: ThroughputTrace, spec: VideoSpec, w: QoEWeights, horizon: int = 5
-) -> list[int]:
-    """Clairvoyant labels of states on one trace, from one batched plan search.
+def _plan_labels(states: Sequence[PlayerState], spec: VideoSpec, w: QoEWeights, horizon: int,
+                 download_times: Callable[[_Plans, np.ndarray], np.ndarray]) -> np.ndarray:
+    """The first rung of each state's best-QoE plan, from one batched search.
 
-    Offline labeling only; it reads throughput the player has not seen yet.
-    Each label is the first rung of the state's best-QoE plan, rolled forward
-    from its wall clock with exact download integration against the true
-    trace; the horizon is clipped to the remaining chunks and ties break
-    toward the lower first rung. The ladder, chunk duration and buffer cap
-    are the spec's.
+    Each plan is rolled forward from its state; `download_times(plans,
+    sizes)` gives the seconds that plan i's next chunk of `sizes[i]` bytes
+    takes, the only part in which the two planners differ. The horizon is
+    clipped to the remaining chunks and ties break toward the lower first
+    rung. The ladder, chunk duration and buffer cap are the spec's.
 
     The search is an exact branch-and-bound (Land and Doig, 1960). A beam
     search gives each state an incumbent, the score of one real plan. A
@@ -218,8 +189,6 @@ def beam_expert_labels(
     """
     rates = np.asarray(spec.ladder.rungs_kbps, dtype=np.float64)
     num_rungs = rates.size
-    cum = trace_cumulative_bytes(trace)
-    bps, t0 = trace.throughput_bps, float(trace.times_s[0])
     horizons = np.array([min(horizon, s.remaining_chunks) for s in states], dtype=int)
     chunk = np.array([s.chunk_index for s in states], dtype=int)
     roots = _Plans(np.array([s.buffer_s for s in states], dtype=np.float64), np.zeros(len(states)),
@@ -246,7 +215,7 @@ def beam_expert_labels(
         parent = np.repeat(np.arange(plans.sid.size), num_rungs)
         rung = np.tile(np.arange(num_rungs), plans.sid.size)
         p = plans.take(parent)
-        d = bulk_download_times(cum, bps, t0, p.clock, spec.sizes[chunk[p.sid] + depth, rung])
+        d = download_times(p, spec.sizes[chunk[p.sid] + depth, rung])
         q, b = _plan_step(p.qoe, p.buffer, p.prev, rung, d, rates, w, spec.chunk_duration_s, spec.buffer_max_s)
         return _Plans(b, q, rung, p.clock + d, rung if depth == 0 else p.first, p.sid)
 
@@ -281,7 +250,50 @@ def beam_expert_labels(
         order = np.lexsort((leaves.first, -leaves.qoe, leaves.sid))
         head = order[np.diff(leaves.sid[order], prepend=-1) != 0]
         labels[leaves.sid[head]] = leaves.first[head]
-    return labels.tolist()
+    return labels
+
+
+def robust_mpc_labels(states: Sequence[PlayerState], spec: VideoSpec, w: QoEWeights,
+                      cfg: MpcConfig = MpcConfig()) -> np.ndarray:
+    """Model-predictive rung choices under a constant robust throughput forecast.
+
+    Each state's plans download in 8*size/estimate seconds, its own
+    `throughput_estimate`; the label is the first rung of the best plan,
+    found by the expert's search (`_plan_labels`). A state with no forecast
+    (no measured history) gets the lowest rung.
+    """
+    if isinstance(states, PlayerState):
+        raise TypeError("robust_mpc_labels takes a sequence of states; wrap a lone state in a list")
+    est = np.array([throughput_estimate(s, cfg) for s in states], dtype=np.float64)
+    known = np.flatnonzero(est > 0.0)
+    est = est[known]
+    labels = np.zeros(len(states), dtype=int)
+    labels[known] = _plan_labels([states[i] for i in known], spec, w, cfg.horizon,
+                                 lambda plans, sizes: 8.0 * sizes / est[plans.sid])
+    return labels
+
+
+def robust_mpc_decide(state: PlayerState, spec: VideoSpec, w: QoEWeights, cfg: MpcConfig = MpcConfig()) -> int:
+    """Robust MPC's rung for one state: `robust_mpc_labels` of a batch of one."""
+    return int(robust_mpc_labels([state], spec, w, cfg)[0])
+
+
+def beam_expert_labels(
+    states: list[PlayerState], trace: ThroughputTrace, spec: VideoSpec, w: QoEWeights, horizon: int = 5
+) -> list[int]:
+    """Clairvoyant labels of states on one trace, from one batched plan search.
+
+    Offline labeling only; it reads throughput the player has not seen yet.
+    Each label is the first rung of the state's best-QoE plan (`_plan_labels`),
+    rolled forward from its wall clock with exact download integration
+    against the true trace.
+    """
+    if isinstance(states, PlayerState):
+        raise TypeError("beam_expert_labels takes a sequence of states; wrap a lone state in a list")
+    cum = trace_cumulative_bytes(trace)
+    bps, t0 = trace.throughput_bps, float(trace.times_s[0])
+    return _plan_labels(states, spec, w, horizon,
+                        lambda plans, sizes: bulk_download_times(cum, bps, t0, plans.clock, sizes)).tolist()
 
 
 def beam_expert_decide(
@@ -304,7 +316,12 @@ def make_bola_policy(cfg: BolaConfig = BolaConfig()):
 
 
 def make_robust_mpc_policy(spec: VideoSpec, w: QoEWeights, cfg: MpcConfig = MpcConfig()):
-    return lambda state: robust_mpc_decide(state, spec, w, cfg)
+    """Robust MPC per state; `decide.batch` decides many states in one search."""
+    def decide(state: PlayerState) -> int:
+        return robust_mpc_decide(state, spec, w, cfg)
+
+    decide.batch = lambda states: robust_mpc_labels(states, spec, w, cfg)
+    return decide
 
 
 def make_expert_policy(trace: ThroughputTrace, spec: VideoSpec, w: QoEWeights, horizon: int = 5):

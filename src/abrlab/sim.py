@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,7 +132,7 @@ def download_chunk(trace: ThroughputTrace, start_time_s: float, size_bytes: floa
         k = int(math.floor(u - t0 + 1e-12))
         if k >= n:
             raise TraceExhaustedError(f"trace {trace.trace_id!r} exhausted mid-download")
-        rate_bytes = trace.throughput_bps[k] / 8.0
+        rate_bytes = float(trace.throughput_bps[k]) / 8.0  # Python floats: same IEEE steps, less overhead
         boundary = t0 + k + 1.0
         capacity = rate_bytes * (boundary - u)
         if remaining <= capacity:
@@ -160,8 +160,7 @@ def chunk_qoe(rate_kbps: float, prev_rate_kbps: float, rebuffer_s: float, w: QoE
     )
 
 
-@dataclass(frozen=True)
-class PlayerState:
+class PlayerState(NamedTuple):
     """Everything a decision function may look at before requesting a chunk.
 
     `throughput_history` holds the most recent per-chunk effective
@@ -169,6 +168,12 @@ class PlayerState:
     length. `ladder_kbps`, `chunk_duration_s` and `wall_time_s` are player
     context: the ladder the rungs index into, content seconds per chunk, and
     where the session clock currently sits on the trace.
+
+    States, outcomes and audit decisions are immutable records (named
+    tuples: a frozen dataclass pays a guarded set per field, and a replay
+    builds two records per chunk). Being tuples, they are also sequences of
+    their own fields, so the functions that take a batch of states refuse a
+    lone one instead of reading its fields as states.
     """
 
     chunk_index: int
@@ -183,8 +188,7 @@ class PlayerState:
     wall_time_s: float
 
 
-@dataclass(frozen=True)
-class ChunkOutcome:
+class ChunkOutcome(NamedTuple):
     chunk_index: int
     rung: int
     raw_rung: int

@@ -380,7 +380,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("section, values", [
         ("cvar", {"window": 0}), ("cvar", {"alpha": 1.0}), ("ppo", {"epochs": 0}),
-    ], ids=["cvar.window", "cvar.alpha", "ppo.epochs"])
+        ("bc", {"dagger_iterations": 0}),
+    ], ids=["cvar.window", "cvar.alpha", "ppo.epochs", "bc.dagger_iterations"])
     def test_bad_training_config_stops_the_first_stage(self, tmp_path, capsys, section, values):
         cfg = _write_cfg(tmp_path / "exp.yaml", traces={"count": 4, "duration_s": 120}, **{section: values})
         assert main(["gen-traces", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2

@@ -19,6 +19,7 @@ from abrlab.policies import (
     make_robust_mpc_policy,
     rate_rule_decide,
     robust_mpc_decide,
+    robust_mpc_labels,
     throughput_estimate,
     trace_cumulative_bytes,
 )
@@ -354,6 +355,44 @@ class TestRobustMpcAgainstReference:
             _, per_first = _oracle_mpc_first_rung(s, spec, w, est, 2)
             assert per_first[3] == per_first[5] == max(per_first.values())
             assert robust_mpc_decide(s, spec, w, cfg) == _reference_robust_mpc_decide(s, spec, w, cfg) == 3
+
+
+class TestRobustMpcBatch:
+    """One batched search against the full enumeration it replaces, state by
+    state, on one batch that mixes every case the search treats apart."""
+
+    SPEC = _flat_spec()
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        traces = [synthesize_trace(SynthConfig(duration_s=600, regime_mean_log_mbps=math.log(m), seed=(83, i)))
+                  for i, m in enumerate((6.0, 30.0, 120.0))]
+        visited = _random_session_states(traces, self.SPEC, W, 89)
+        n = self.SPEC.num_chunks
+        # session starts (no history), the middle, and the last five chunks,
+        # whose horizons are clipped to 5, 4, 3, 2 and 1 inside one batch
+        states = [s for s in visited if s.chunk_index in (0, 1, 2, 20, 31) or s.chunk_index >= n - 5]
+        # the exact tie of the expert's test: on the last chunk with no stall
+        # possible, rungs 2..5 score alike, with and without a forecast
+        states += [_state(self.SPEC, buffer_s=60.0, prev=2, chunk_index=n - 1, wall=10.0, hist=hist)
+                   for hist in ((), (200e6,))]
+        assert {min(5, s.remaining_chunks) for s in states} == {1, 2, 3, 4, 5}
+        assert sum(not s.throughput_history.any() for s in states) >= 4
+        return states
+
+    @pytest.mark.parametrize("cfg", [MpcConfig(), MpcConfig(robust=False), MpcConfig(history_len=3)],
+                             ids=["robust", "plain", "history3"])
+    def test_batch_equals_reference_state_by_state(self, mixed, cfg):
+        got = robust_mpc_labels(mixed, self.SPEC, W, cfg)
+        assert got.tolist() == [_reference_robust_mpc_decide(s, self.SPEC, W, cfg) for s in mixed]
+        assert got[-2:].tolist() == [0, 2]  # no forecast: the bottom; the tie: the lowest tied rung
+        assert len(set(got.tolist())) >= 3
+
+    def test_policy_carries_its_batch_form(self, mixed):
+        policy = make_robust_mpc_policy(self.SPEC, W)
+        assert callable(policy.batch)  # or run_sessions would decide one state at a time
+        assert list(policy.batch(mixed)) == [policy(s) for s in mixed]
+        assert robust_mpc_labels([], self.SPEC, W).tolist() == []
 
 
 def _oracle_stepped_download(trace, start, size):

@@ -8,8 +8,9 @@ import pytest
 
 from abrlab.auditor import AuditConfig, AuditDecision, make_auditor, make_oracle_auditor
 from abrlab.capacity import LowerBoundPredictor, PointPredictor, PredictorConfig
-from abrlab.net import NetConfig, feature_dim, init_policy_net, make_greedy_policy
-from abrlab.policies import make_bola_policy, make_rate_rule_policy, make_robust_mpc_policy
+from abrlab.net import NetConfig, feature_dim, featurize, init_policy_net, make_greedy_policy
+from abrlab.policies import (beam_expert_labels, make_bola_policy, make_rate_rule_policy, make_robust_mpc_policy,
+                             robust_mpc_labels)
 from abrlab.sim import (
     BitrateLadder,
     QoEWeights,
@@ -511,6 +512,51 @@ class TestSessionEnv:
         last, _, done = env.step(0)
         assert last is None and done
         assert env.state is second  # the clock is not read after the session ends
+
+
+class TestRecords:
+    """States, outcomes and audit decisions are immutable records, and a lone
+    state is not mistaken for a batch of states."""
+
+    @pytest.fixture
+    def records(self):
+        trace, spec = _const_trace(50e6), _spec(num_chunks=4)
+        env = SessionEnv(trace, spec, QoEWeights())
+        first = env.reset()
+        decision = AuditDecision(3, 1, True, False, 40e6, 36e6, np.arange(2))
+        state, outcome, _ = env.step(3, decision)
+        return trace, spec, first, state, outcome, decision
+
+    def test_fields_cannot_be_assigned(self, records):
+        _, _, _, state, outcome, decision = records
+        assert outcome.audited and outcome.rung == 1
+        for record, name in ((state, "buffer_s"), (state, "throughput_history"), (outcome, "rung"),
+                             (outcome, "qoe"), (decision, "safe_rung"), (decision, "feasible_rungs")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                setattr(record, "extra", 0)  # nor can fields be added
+
+    def test_history_stays_read_only(self, records):
+        _, _, first, state, _, _ = records
+        for s in (first, state):
+            assert not s.throughput_history.flags.writeable
+            with pytest.raises(ValueError):
+                s.throughput_history[-1] = 1.0
+
+    def test_a_lone_state_is_not_a_batch(self, records):
+        trace, spec, first, state, _, _ = records
+        for s in (first, state):
+            with pytest.raises(TypeError, match="sequence of states"):
+                featurize(s, spec)
+            with pytest.raises(TypeError, match="sequence of states"):
+                robust_mpc_labels(s, spec, QoEWeights())
+            with pytest.raises(TypeError, match="sequence of states"):
+                beam_expert_labels(s, trace, spec, QoEWeights())
+        # a batch of one is fine
+        assert featurize([state], spec).shape[0] == 1
+        assert len(robust_mpc_labels([state], spec, QoEWeights())) == 1
+        assert len(beam_expert_labels([state], trace, spec, QoEWeights())) == 1
 
 
 class TestSerialization:
