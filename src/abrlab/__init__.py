@@ -13,7 +13,7 @@ from .auditor import (AuditConfig, AuditDecision, audit_action, decision_violati
 from .capacity import (PREDICTOR_CANDIDATES, CalibrationResult, LowerBoundPredictor, PointPredictor,
                        PredictorConfig, calibrate_lower_bound, calibration_ratios, candidate_auditors,
                        coverage_miss_rate, decision_scores, high_risk_overrate, lower_quantile,
-                       point_predict, realized_target, replay, violation_rate)
+                       point_predict, replay, violation_rate)
 from .config import (ExperimentConfig, config_from_dict, config_to_dict, load_config,
                      save_config, with_overrides)
 from .imitation import (BcConfig, ImitationDataset, dagger_round, expert_agreement,

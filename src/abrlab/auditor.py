@@ -57,8 +57,11 @@ def feasible_set(state: PlayerState, sizes_bytes: np.ndarray, predicted_bps: flo
     budget = state.buffer_s - cfg.guard_s
     if budget <= 0.0:
         return _EMPTY
-    times = 8.0 * np.asarray(sizes_bytes, dtype=np.float64) / (cfg.capacity_margin * predicted_bps)
-    return np.nonzero(times <= budget)[0]
+    # Python floats, one rung at a time: the same IEEE steps as the array
+    # expression 8 * sizes / capacity, without a numpy call per step.
+    capacity = cfg.capacity_margin * predicted_bps
+    sizes = np.asarray(sizes_bytes, dtype=np.float64).tolist()
+    return np.array([a for a, size in enumerate(sizes) if 8.0 * size / capacity <= budget], dtype=int)
 
 
 def audit_action(raw_rung: int, feasible: np.ndarray) -> tuple[int, bool]:
@@ -68,9 +71,7 @@ def audit_action(raw_rung: int, feasible: np.ndarray) -> tuple[int, bool]:
     the request, the lowest rung when nothing qualifies, and an intervention
     flag that is set exactly when the executed rung differs from the request.
     """
-    feasible = np.asarray(feasible, dtype=int)
-    at_or_below = feasible[feasible <= raw_rung]
-    safe = int(at_or_below.max()) if at_or_below.size else 0
+    safe = max([a for a in np.asarray(feasible, dtype=int).tolist() if a <= raw_rung], default=0)
     return safe, safe != raw_rung
 
 
@@ -100,13 +101,10 @@ def make_auditor(predictor, cfg: AuditConfig = AuditConfig()):
         predicted = float(predictor.predict(history_bps))
         feasible = feasible_set(state, state.next_chunk_sizes, predicted, cfg)
         safe, intervened = audit_action(raw_rung, feasible)
-        return AuditDecision(
-            raw_rung, safe, intervened,
-            fallback=feasible.size == 0,
-            predicted_capacity_bps=predicted,
-            effective_capacity_bps=cfg.capacity_margin * predicted,
-            feasible_rungs=feasible,
-        )
+        # Positionally, in field order (cheaper than by keyword): fallback, predicted and
+        # effective capacity, feasible rungs.
+        return AuditDecision(raw_rung, safe, intervened, feasible.size == 0, predicted,
+                             cfg.capacity_margin * predicted, feasible)
 
     return auditor
 

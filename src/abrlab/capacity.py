@@ -63,14 +63,6 @@ def point_predict(history_bps: np.ndarray, horizon_s: int) -> float:
     return float(np.add.reduce(window) / window.size)  # ndarray.mean's own steps, without its wrapper
 
 
-def realized_target(trace: ThroughputTrace, t: float, horizon_s: int) -> float:
-    """Mean throughput over [t, t + horizon); the window must fit the trace."""
-    i0 = int(round(t - float(trace.times_s[0])))
-    if i0 < 0 or i0 + horizon_s > trace.times_s.size:
-        raise ValueError(f"window [{t}, {t + horizon_s}) outside trace {trace.trace_id!r}")
-    return float(trace.throughput_bps[i0 : i0 + horizon_s].mean())
-
-
 def lower_quantile(values: Sequence[float], delta: float) -> float:
     """Ascending order statistic at rank ceil(delta * n), 1-indexed."""
     v = np.sort(np.asarray(values, dtype=np.float64))

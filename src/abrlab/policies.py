@@ -68,35 +68,45 @@ class MpcConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
-def _harmonic_mean(values: np.ndarray) -> float:
-    return values.size / float(np.sum(1.0 / values))
+def _harmonic_mean(values: np.ndarray) -> np.ndarray:
+    """Harmonic mean over the last axis: one per row of a matrix."""
+    return values.shape[-1] / np.sum(1.0 / values, axis=-1)
 
 
-def _robust_discount(hist: np.ndarray, history_len: int) -> float:
-    # Reconstruct the trailing one-step-ahead prediction errors: the forecast
-    # at position j is the harmonic mean of up to history_len samples before
-    # it; only overestimates (realized under the prediction) count, and only
-    # the last history_len positions do. The reciprocals are taken once; each
-    # forecast sums a slice of them, as `_harmonic_mean` would.
-    inv = 1.0 / hist
-    worst = 0.0
-    for j in range(max(1, hist.size - history_len), hist.size):
-        lo = max(0, j - history_len)
-        pred = (j - lo) / float(np.sum(inv[lo:j]))
-        worst = max(worst, (pred - hist[j]) / hist[j])
-    return 1.0 + worst
+def _estimate_rows(hist: np.ndarray, cfg: MpcConfig) -> np.ndarray:
+    """`throughput_estimate` of each row of `hist`, (k, m) positive samples,
+    oldest first. The robust discount reconstructs the trailing one-step-ahead
+    prediction errors: the forecast at position j is the harmonic mean of up
+    to history_len samples before it; only overestimates (realized under the
+    prediction) count, and only the last history_len positions do. Each sum
+    runs over a fresh contiguous row block, so a row sums exactly as the same
+    samples would alone."""
+    est = _harmonic_mean(hist[:, -cfg.history_len :])
+    if not cfg.robust:
+        return est
+    worst = np.zeros(hist.shape[0])
+    for j in range(max(1, hist.shape[1] - cfg.history_len), hist.shape[1]):
+        pred = _harmonic_mean(hist[:, max(0, j - cfg.history_len) : j])
+        worst = np.maximum(worst, (pred - hist[:, j]) / hist[:, j])
+    return est / (1.0 + worst)
+
+
+def throughput_estimates(states: Sequence[PlayerState], cfg: MpcConfig) -> np.ndarray:
+    """Harmonic-mean throughput forecast of each state, discounted by the worst
+    recent relative underprediction when cfg.robust; 0 with no history. The
+    states with the same number of measured samples share one row-wise pass."""
+    hists = [s.throughput_history[s.throughput_history > 0.0] for s in states]
+    counts = np.array([h.size for h in hists], dtype=int)
+    est = np.zeros(len(hists))
+    for m in set(counts.tolist()) - {0}:
+        rows = np.flatnonzero(counts == m)
+        est[rows] = _estimate_rows(np.stack([hists[i] for i in rows]), cfg)
+    return est
 
 
 def throughput_estimate(state: PlayerState, cfg: MpcConfig) -> float:
-    """Harmonic-mean throughput forecast, discounted by the worst recent
-    relative underprediction when cfg.robust. Returns 0 with no history."""
-    hist = state.throughput_history[state.throughput_history > 0.0]
-    if hist.size == 0:
-        return 0.0
-    est = _harmonic_mean(hist[-cfg.history_len :])
-    if cfg.robust:
-        est /= _robust_discount(hist, cfg.history_len)
-    return est
+    """One state's forecast: `throughput_estimates` of a batch of one."""
+    return float(throughput_estimates([state], cfg)[0])
 
 
 def _plan_step(q, b, prev, rung, d, rates, w: QoEWeights, chunk_duration_s: float, buffer_max_s: float):
@@ -258,13 +268,13 @@ def robust_mpc_labels(states: Sequence[PlayerState], spec: VideoSpec, w: QoEWeig
     """Model-predictive rung choices under a constant robust throughput forecast.
 
     Each state's plans download in 8*size/estimate seconds, its own
-    `throughput_estimate`; the label is the first rung of the best plan,
+    `throughput_estimates` entry; the label is the first rung of the best plan,
     found by the expert's search (`_plan_labels`). A state with no forecast
     (no measured history) gets the lowest rung.
     """
     if isinstance(states, PlayerState):
         raise TypeError("robust_mpc_labels takes a sequence of states; wrap a lone state in a list")
-    est = np.array([throughput_estimate(s, cfg) for s in states], dtype=np.float64)
+    est = throughput_estimates(states, cfg)
     known = np.flatnonzero(est > 0.0)
     est = est[known]
     labels = np.zeros(len(states), dtype=int)

@@ -122,17 +122,18 @@ def download_chunk(trace: ThroughputTrace, start_time_s: float, size_bytes: floa
     """
     if size_bytes <= 0:
         raise ValueError("size_bytes must be positive")
+    samples = trace.samples  # Python floats: the same IEEE steps as numpy scalars, less overhead
     t0 = float(trace.times_s[0])
-    n = trace.times_s.size
+    n = len(samples)
     if start_time_s < t0 - 1e-9 or start_time_s >= t0 + n - 1e-12:
         raise TraceExhaustedError(f"start time {start_time_s:.3f}s outside trace {trace.trace_id!r}")
     u = float(start_time_s)
     remaining = float(size_bytes)
     while True:
-        k = int(math.floor(u - t0 + 1e-12))
+        k = math.floor(u - t0 + 1e-12)  # an int already
         if k >= n:
             raise TraceExhaustedError(f"trace {trace.trace_id!r} exhausted mid-download")
-        rate_bytes = float(trace.throughput_bps[k]) / 8.0  # Python floats: same IEEE steps, less overhead
+        rate_bytes = samples[k] / 8.0
         boundary = t0 + k + 1.0
         capacity = rate_bytes * (boundary - u)
         if remaining <= capacity:
@@ -252,8 +253,9 @@ class SessionEnv:
     """Step-level session driver; run_session and the trainers share it.
 
     `state` is the PlayerState last returned, the session's only record of
-    where it stands. Each state owns a read-only history, so a state handed
-    out never changes, and a policy that writes into its input fails loudly.
+    where it stands. Each state owns a read-only history, and its chunk
+    sizes are a read-only view of `spec.sizes`, so a state handed out never
+    changes, and a policy that writes into its input fails loudly.
     """
 
     def __init__(self, trace: ThroughputTrace, spec: VideoSpec, w: QoEWeights, history_len: int = 8):
@@ -273,7 +275,7 @@ class SessionEnv:
         self.state = PlayerState(
             chunk_index=0, buffer_s=float(spec.initial_buffer_s), prev_rung=int(spec.initial_prev_rung),
             throughput_history=history, remaining_chunks=spec.num_chunks,
-            next_chunk_sizes=spec.sizes[0].copy(), ladder_kbps=spec.ladder.rungs_kbps,
+            next_chunk_sizes=spec.sizes[0], ladder_kbps=spec.ladder.rungs_kbps,
             chunk_duration_s=spec.chunk_duration_s, buffer_max_s=spec.buffer_max_s,
             wall_time_s=float(self.trace.times_s[0]))
         return self.state
@@ -293,13 +295,14 @@ class SessionEnv:
         ladder. Returns (next_state_or_None, outcome_or_None, done)."""
         if self.done:
             raise RuntimeError("step() on a finished session")
+        s, spec = self.state, self.spec
         raw = int(rung)
         rung = raw if decision is None else int(decision.safe_rung)
-        for who, r in (("policy requested", raw), ("auditor chose", rung)):
-            if not (0 <= r < self.spec.ladder.num_rungs):
-                raise ValueError(f"{who} rung {r} outside the ladder")
-        s, spec = self.state, self.spec
-        size = float(spec.sizes[s.chunk_index, rung])
+        if not 0 <= raw < len(s.ladder_kbps):
+            raise ValueError(f"policy requested rung {raw} outside the ladder")
+        if not 0 <= rung < len(s.ladder_kbps):
+            raise ValueError(f"auditor chose rung {rung} outside the ladder")
+        size = float(s.next_chunk_sizes[rung])
         try:
             d, c = download_chunk(self.trace, s.wall_time_s, size)
         except TraceExhaustedError:
@@ -308,27 +311,24 @@ class SessionEnv:
         rebuf = rebuffer_time(d, s.buffer_s)
         q = chunk_qoe(s.ladder_kbps[rung], s.ladder_kbps[s.prev_rung], rebuf, self.w)
         buf_after = advance_buffer(s.buffer_s, d, s.chunk_duration_s, s.buffer_max_s)
-        audited, fallback, predicted, effective = (False, False, math.nan, math.nan) if decision is None else (
-            bool(decision.intervened), bool(decision.fallback),
-            float(decision.predicted_capacity_bps), float(decision.effective_capacity_bps))
-        outcome = ChunkOutcome(
-            chunk_index=s.chunk_index, rung=rung, raw_rung=raw, audited=audited, fallback=fallback,
-            size_bytes=size, download_time_s=d, rebuffer_s=rebuf, effective_throughput_bps=c, qoe=q,
-            buffer_before_s=s.buffer_s, buffer_after_s=buf_after,
-            predicted_capacity_bps=predicted, effective_capacity_bps=effective)
+        # Records built positionally, in field order: cheaper than by keyword.
+        if decision is None:
+            outcome = ChunkOutcome(s.chunk_index, rung, raw, False, False, size, d, rebuf, c, q,
+                                   s.buffer_s, buf_after)
+        else:
+            outcome = ChunkOutcome(s.chunk_index, rung, raw, bool(decision.intervened), bool(decision.fallback),
+                                   size, d, rebuf, c, q, s.buffer_s, buf_after,
+                                   float(decision.predicted_capacity_bps), float(decision.effective_capacity_bps))
         self.outcomes.append(outcome)
-        if self.done:
+        t = s.chunk_index + 1
+        if t == spec.num_chunks:
             return None, outcome, True
-        history = np.empty(self.history_len)
-        history[:-1] = s.throughput_history[1:]
+        history = s.throughput_history.copy()
+        history[:-1] = history[1:]
         history[-1] = c
         history.setflags(write=False)
-        t = s.chunk_index + 1
-        self.state = PlayerState(
-            chunk_index=t, buffer_s=buf_after, prev_rung=rung, throughput_history=history,
-            remaining_chunks=s.remaining_chunks - 1, next_chunk_sizes=spec.sizes[t].copy(),
-            ladder_kbps=s.ladder_kbps, chunk_duration_s=s.chunk_duration_s,
-            buffer_max_s=s.buffer_max_s, wall_time_s=s.wall_time_s + d)
+        self.state = PlayerState(t, buf_after, rung, history, s.remaining_chunks - 1, spec.sizes[t],
+                                 s.ladder_kbps, s.chunk_duration_s, s.buffer_max_s, s.wall_time_s + d)
         return self.state, outcome, False
 
     def finish(self) -> SessionLog:
@@ -350,10 +350,12 @@ def run_sessions(traces: Sequence[ThroughputTrace], spec: VideoSpec, w: QoEWeigh
     decide = getattr(policy, "batch", None) or (lambda batch: [policy(s) for s in batch])
     live = list(range(len(envs)))
     while live:
+        still = []
         for i, raw in zip(live, decide([envs[i].state for i in live])):
             raw, env = int(raw), envs[i]
-            env.step(raw, auditors[i](env.state, env.measured_history_bps(), raw) if auditors else None)
-        live = [i for i in live if not envs[i].done]
+            if not env.step(raw, auditors[i](env.state, env.measured_history_bps(), raw) if auditors else None)[2]:
+                still.append(i)
+        live = still
     return [env.finish() for env in envs]
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,9 +37,12 @@ class ThroughputTrace:
     handover_times_s: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        object.__setattr__(self, "times_s", np.asarray(self.times_s, dtype=np.float64))
-        object.__setattr__(self, "throughput_bps", np.asarray(self.throughput_bps, dtype=np.float64))
-        object.__setattr__(self, "handover_times_s", np.asarray(self.handover_times_s, dtype=np.float64))
+        # Read-only copies: a caller's later write cannot reach the trace or
+        # leave `samples` disagreeing with `throughput_bps`.
+        for name in ("times_s", "throughput_bps", "handover_times_s"):
+            array = np.array(getattr(self, name), dtype=np.float64)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         t, v = self.times_s, self.throughput_bps
         if t.size == 0:
             raise TraceValidationError(f"trace {self.trace_id!r}: empty")
@@ -56,6 +60,11 @@ class ThroughputTrace:
     def duration_s(self) -> float:
         """Seconds of link time covered; the last sample holds for one second."""
         return float(self.times_s[-1] - self.times_s[0] + 1.0)
+
+    @cached_property
+    def samples(self) -> list[float]:
+        """`throughput_bps` as Python floats, for per-second walks such as `sim.download_chunk`."""
+        return self.throughput_bps.tolist()
 
 
 def _resample_hold(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,22 +84,22 @@ def ingest_trace(path: str | Path) -> ThroughputTrace:
     path = Path(path)
     times: list[float] = []
     values: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+    # One read; newline="" is not given, so CR and CRLF end lines as they do
+    # when the file is iterated. float() strips the whitespace around a field.
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+        parts = line.split(",")
+        if len(parts) != 2:
+            if not line.strip():
                 continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise TraceParseError(f"{path.name}: line {lineno}: expected 2 fields, got {len(parts)}")
-            try:
-                t, v = float(parts[0]), float(parts[1])
-            except ValueError:
-                if lineno == 1 and not times:
-                    continue  # header row
-                raise TraceParseError(f"{path.name}: line {lineno}: non-numeric field in {line!r}") from None
-            times.append(t)
-            values.append(v)
+            raise TraceParseError(f"{path.name}: line {lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            t, v = float(parts[0]), float(parts[1])
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            raise TraceParseError(f"{path.name}: line {lineno}: non-numeric field in {line.strip()!r}") from None
+        times.append(t)
+        values.append(v)
     if not times:
         raise TraceValidationError(f"{path.name}: empty trace")
     t_arr = np.asarray(times, dtype=np.float64)

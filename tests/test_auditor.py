@@ -116,6 +116,65 @@ class TestAuditAction:
             assert not moved or safe == 0 and 0 not in feas
 
 
+def _reference_feasible_set(state, sizes_bytes, predicted_bps, cfg):
+    """The numpy-mask feasibility rule the float loop replaced."""
+    budget = state.buffer_s - cfg.guard_s
+    if budget <= 0.0:
+        return np.zeros(0, dtype=int)
+    times = 8.0 * np.asarray(sizes_bytes, dtype=np.float64) / (cfg.capacity_margin * predicted_bps)
+    return np.nonzero(times <= budget)[0]
+
+
+def _reference_audit_action(raw_rung, feasible):
+    feasible = np.asarray(feasible, dtype=int)
+    at_or_below = feasible[feasible <= raw_rung]
+    safe = int(at_or_below.max()) if at_or_below.size else 0
+    return safe, safe != raw_rung
+
+
+class TestAgainstNumpyReference:
+    SPEC = VideoSpec()
+
+    def _cases(self):
+        """(state, sizes, predicted, cfg): random budgets, plus budgets set
+        exactly to one rung's download time (an inclusive tie), to zero and
+        below zero."""
+        rng = np.random.default_rng(29)
+        for i in range(400):
+            sizes = self.SPEC.sizes[i % self.SPEC.num_chunks]
+            predicted = float(rng.uniform(1e6, 3e8))
+            cfg = AuditConfig(guard_s=0.0 if i % 4 == 1 else float(rng.choice([0.0, rng.uniform(0.0, 4.0)])),
+                              capacity_margin=float(rng.choice([1.0, rng.uniform(0.3, 1.0)])))
+            buffer_s = float(rng.uniform(0.0, 60.0))
+            if i % 4 == 1:
+                rung = int(rng.integers(sizes.size))
+                buffer_s = float(8.0 * sizes[rung] / (cfg.capacity_margin * predicted))
+            elif i % 4 == 2:
+                buffer_s = cfg.guard_s - float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+            yield _state(buffer_s=buffer_s), sizes, predicted, cfg
+
+    def test_feasible_sets_and_projections_equal_the_reference(self):
+        ties = empty = 0
+        for state, sizes, predicted, cfg in self._cases():
+            got = feasible_set(state, sizes, predicted, cfg)
+            ref = _reference_feasible_set(state, sizes, predicted, cfg)
+            assert got.tolist() == ref.tolist() and got.dtype == ref.dtype
+            times = 8.0 * sizes / (cfg.capacity_margin * predicted)
+            ties += bool(np.any(times == state.buffer_s - cfg.guard_s))
+            empty += state.buffer_s - cfg.guard_s <= 0.0
+            for raw in range(sizes.size + 2):  # two requests above the top rung
+                assert audit_action(raw, got) == _reference_audit_action(raw, ref)
+        assert ties >= 100 and empty >= 100
+
+    def test_projection_of_any_set_equals_the_reference(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            feasible = np.flatnonzero(rng.random(6) < 0.5)
+            for raw in range(8):
+                assert audit_action(raw, feasible) == _reference_audit_action(raw, feasible)
+                assert audit_action(raw, feasible.tolist()) == _reference_audit_action(raw, feasible)
+
+
 class TestDecisionViolation:
     def test_worked_examples(self):
         # 15e6 bytes at 20 Mbit/s takes 6 s against a 5 s budget

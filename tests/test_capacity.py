@@ -21,7 +21,6 @@ from abrlab.capacity import (
     high_risk_overrate,
     lower_quantile,
     point_predict,
-    realized_target,
     replay,
     violation_rate,
 )
@@ -59,6 +58,14 @@ class TestPointPredict:
             PredictorConfig(delta=0.0)
         with pytest.raises(ValueError):
             PredictorConfig(delta=1.0)
+
+
+def realized_target(trace: ThroughputTrace, t: float, horizon_s: int) -> float:
+    """Brute-force reference: mean throughput over [t, t + horizon), which must fit the trace."""
+    i0 = int(round(t - float(trace.times_s[0])))
+    if i0 < 0 or i0 + horizon_s > trace.times_s.size:
+        raise ValueError(f"window [{t}, {t + horizon_s}) outside trace {trace.trace_id!r}")
+    return float(trace.throughput_bps[i0 : i0 + horizon_s].mean())
 
 
 class TestRealizedTarget:

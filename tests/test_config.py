@@ -89,6 +89,29 @@ class TestRoundTrip:
         assert cfg.predictor.horizon_s == 10
 
 
+class TestYamlLoader:
+    CONFIGS = sorted((REPO_ROOT / "configs").glob("*.yaml"))
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+    def test_libyaml_and_python_loaders_read_the_same_dict(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "fallback"])
+    def test_load_config_prefers_libyaml_and_falls_back(self, monkeypatch, libyaml):
+        if libyaml and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML built without libyaml")
+        path = REPO_ROOT / "configs" / "default.yaml"
+        expected = dataclasses.replace(ExperimentConfig(), output_dir="runs/default")
+        loaders, load = [], yaml.load
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        monkeypatch.setattr(yaml, "load", lambda stream, Loader: loaders.append(Loader) or load(stream, Loader))
+        assert load_config(path) == expected
+        assert loaders == [yaml.CSafeLoader if libyaml else yaml.SafeLoader]
+
+
 class TestScalarRepair:
     def test_unsigned_exponent_string_becomes_float(self):
         # YAML 1.1 parses 2.5e8 (no sign in the exponent) as a string.

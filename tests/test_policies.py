@@ -21,6 +21,7 @@ from abrlab.policies import (
     robust_mpc_decide,
     robust_mpc_labels,
     throughput_estimate,
+    throughput_estimates,
     trace_cumulative_bytes,
 )
 from abrlab.sim import (BitrateLadder, PlayerState, QoEWeights, SessionEnv, VideoSpec, chunk_size, chunk_sizes,
@@ -243,11 +244,15 @@ class TestRobustMpc:
         assert a == b
 
 
+def _reference_harmonic_mean(values):
+    return values.size / float(np.sum(1.0 / values))
+
+
 def _reference_robust_discount(hist, history_len):
     # The discount as first written: a fresh harmonic mean per position.
     errors = []
     for j in range(1, hist.size):
-        pred = _harmonic_mean(hist[max(0, j - history_len) : j])
+        pred = _reference_harmonic_mean(hist[max(0, j - history_len) : j])
         errors.append(max(0.0, (pred - hist[j]) / hist[j]))
     tail = errors[-history_len:]
     return 1.0 + (max(tail) if tail else 0.0)
@@ -257,7 +262,7 @@ def _reference_throughput_estimate(state, cfg):
     hist = state.throughput_history[state.throughput_history > 0.0]
     if hist.size == 0:
         return 0.0
-    est = _harmonic_mean(hist[-cfg.history_len :])
+    est = _reference_harmonic_mean(hist[-cfg.history_len :])
     if cfg.robust:
         est /= _reference_robust_discount(hist, cfg.history_len)
     return est
@@ -341,6 +346,21 @@ class TestRobustMpcAgainstReference:
             for robust in (True, False):
                 cfg = MpcConfig(history_len=history_len, robust=robust)
                 assert throughput_estimate(s, cfg) == _reference_throughput_estimate(s, cfg)
+
+    @pytest.mark.parametrize("history_len", range(1, 9))
+    def test_row_wise_estimates_equal_the_per_state_reference(self, visited, history_len):
+        # One batch of every visited state (all chunk indices, 0 to 8
+        # measured samples), plus histories of other lengths and one with a
+        # gap, which the row-wise pass must group by sample count.
+        spec = self.FLAT_SPEC
+        states = [s for s, _, _ in visited] + [
+            _state(spec, hist=(3e6, 9e6, 4e6), hist_len=3), _state(spec, hist=(6e6,), hist_len=1),
+            _state(spec, hist=tuple(np.arange(1, 13) * 1e6), hist_len=12), _state(spec, hist=(5e6, 0.0, 7e6, 2e6))]
+        for robust in (True, False):
+            cfg = MpcConfig(history_len=history_len, robust=robust)
+            got = throughput_estimates(states, cfg)
+            assert got.tolist() == [_reference_throughput_estimate(s, cfg) for s in states]
+            assert throughput_estimates([], cfg).tolist() == []
 
     def test_exact_tie_goes_to_the_lowest_first_rung(self):
         # Two chunks left, a full buffer, no switch penalty, and a link on

@@ -544,6 +544,25 @@ class TestRecords:
             with pytest.raises(ValueError):
                 s.throughput_history[-1] = 1.0
 
+    def test_chunk_sizes_are_read_only_views_of_the_spec(self, records):
+        _, spec, first, state, _, _ = records
+        for s in (first, state):
+            assert not s.next_chunk_sizes.flags.writeable
+            assert np.shares_memory(s.next_chunk_sizes, spec.sizes)
+            assert np.array_equal(s.next_chunk_sizes, spec.sizes[s.chunk_index])
+
+    def test_a_policy_writing_the_chunk_sizes_fails_instead_of_fooling_the_auditor(self):
+        # Shrinking the sizes the auditor reads would let every top-rung
+        # request pass the feasibility check.
+        def shrink_then_request_the_top(state):
+            state.next_chunk_sizes[:] = 1.0
+            return 5
+
+        trace, spec = synthesize_trace(SynthConfig(duration_s=600, seed=97)), VideoSpec()
+        with pytest.raises(ValueError, match="read-only"):
+            run_session(trace, spec, QoEWeights(), shrink_then_request_the_top, make_auditor(PointPredictor()))
+        assert spec.sizes.min() > 1.0
+
     def test_a_lone_state_is_not_a_batch(self, records):
         trace, spec, first, state, _, _ = records
         for s in (first, state):

@@ -109,6 +109,55 @@ class TestIngest:
             ingest_trace(tmp_path / "s.csv")
 
 
+def _reference_rows(path):
+    """The line-by-line parser `ingest_trace` replaced: (times, values) of a
+    CSV, or the (class, message) of the error it raises."""
+    times, values = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) != 2:
+                return TraceParseError, f"{path.name}: line {lineno}: expected 2 fields, got {len(parts)}"
+            try:
+                t, v = float(parts[0]), float(parts[1])
+            except ValueError:
+                if lineno == 1 and not times:
+                    continue
+                return TraceParseError, f"{path.name}: line {lineno}: non-numeric field in {line!r}"
+            times.append(t)
+            values.append(v)
+    return times, values
+
+
+class TestIngestAgainstReference:
+    @pytest.mark.parametrize("text", [
+        b"0,5e6\r\n1,6e6\r\n",                           # CRLF
+        b"time_s,throughput_bps\r\n0,5e6\r\n1,6e6",       # CRLF header, no final newline
+        b"0,5e6\r1,6e6\r",                                # CR only
+        b" 0 , 5e6 \n\t1,\t6e6\t\n 2 ,7e6\n",             # spaces and tabs around fields
+        b"\n\n  \n0,5e6\n\t\n\x0c\nx,y\n",                # blank lines before a bad row
+        b"0,5e6\r\n\r\n \r\n1,6e6,7e6\r\n",               # blank CRLF lines before a 3-field row
+        b"0,5e6\n 1 ,6e6 ,\n",                            # trailing comma: 3 fields
+        b"\nfoo,bar\n0,5e6\n",                           # a header after line 1 is a bad row
+        b"0,5e6\n\n1\n",                                 # 1 field
+        b"0,5e6\n1, \n",                                  # empty field
+    ])
+    def test_same_rows_or_same_error(self, tmp_path, text):
+        p = tmp_path / "r.csv"
+        p.write_bytes(text)
+        expected = _reference_rows(p)
+        if expected[0] is TraceParseError:
+            with pytest.raises(TraceParseError) as err:
+                ingest_trace(p)
+            assert str(err.value) == expected[1]
+        else:
+            tr = ingest_trace(p)
+            assert tr.times_s.tolist() == expected[0] and tr.throughput_bps.tolist() == expected[1]
+
+
 class TestTraceValidation:
     def test_uneven_spacing_rejected_at_construction(self):
         with pytest.raises(TraceValidationError, match="1.0 s"):
@@ -121,6 +170,23 @@ class TestTraceValidation:
     def test_duration_counts_the_last_held_second(self):
         tr = ThroughputTrace("x", [0.0, 1.0, 2.0], [1e6, 1e6, 1e6])
         assert tr.duration_s == 3.0
+
+    def test_arrays_are_read_only(self):
+        tr = ThroughputTrace("x", [0.0, 1.0, 2.0], [1e6, 2e6, 3e6], [0.5])
+        for array in (tr.times_s, tr.throughput_bps, tr.handover_times_s):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 9.0
+        assert tr.samples == [1e6, 2e6, 3e6]
+
+    def test_later_writes_to_the_source_arrays_do_not_reach_the_trace(self):
+        times, bps, handovers = np.arange(3.0), np.array([1e6, 2e6, 3e6]), np.array([0.5])
+        tr = ThroughputTrace("x", times, bps, handovers)
+        times[:] = 7.0
+        bps[:] = -1.0
+        handovers[:] = 9.0
+        assert tr.times_s.tolist() == [0.0, 1.0, 2.0]
+        assert tr.throughput_bps.tolist() == tr.samples == [1e6, 2e6, 3e6]
+        assert tr.handover_times_s.tolist() == [0.5]
 
 
 class TestRoundTrip:
