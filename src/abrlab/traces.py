@@ -84,8 +84,9 @@ def ingest_trace(path: str | Path) -> ThroughputTrace:
     path = Path(path)
     times: list[float] = []
     values: list[float] = []
-    # One read; newline="" is not given, so CR and CRLF end lines as they do
-    # when the file is iterated. float() strips the whitespace around a field.
+    # read_text turns CR and CRLF into LF, so splitting on LF numbers lines as
+    # iterating the file would (splitlines would also split on form feeds).
+    # float() strips the whitespace around a field.
     for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         parts = line.split(",")
         if len(parts) != 2:

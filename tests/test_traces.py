@@ -134,15 +134,15 @@ def _reference_rows(path):
 
 class TestIngestAgainstReference:
     @pytest.mark.parametrize("text", [
-        b"0,5e6\r\n1,6e6\r\n",                           # CRLF
+        b"0,5e6\r\n1,6e6\r\n",                            # CRLF
         b"time_s,throughput_bps\r\n0,5e6\r\n1,6e6",       # CRLF header, no final newline
         b"0,5e6\r1,6e6\r",                                # CR only
         b" 0 , 5e6 \n\t1,\t6e6\t\n 2 ,7e6\n",             # spaces and tabs around fields
         b"\n\n  \n0,5e6\n\t\n\x0c\nx,y\n",                # blank lines before a bad row
         b"0,5e6\r\n\r\n \r\n1,6e6,7e6\r\n",               # blank CRLF lines before a 3-field row
         b"0,5e6\n 1 ,6e6 ,\n",                            # trailing comma: 3 fields
-        b"\nfoo,bar\n0,5e6\n",                           # a header after line 1 is a bad row
-        b"0,5e6\n\n1\n",                                 # 1 field
+        b"\nfoo,bar\n0,5e6\n",                            # a header after line 1 is a bad row
+        b"0,5e6\n\n1\n",                                  # 1 field
         b"0,5e6\n1, \n",                                  # empty field
     ])
     def test_same_rows_or_same_error(self, tmp_path, text):
