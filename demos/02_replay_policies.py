@@ -3,8 +3,8 @@
 Run from the repo root:  python demos/02_replay_policies.py
 """
 
-from abrlab.policies import (make_bola_policy, make_expert_policy,
-                             make_rate_rule_policy, make_robust_mpc_policy)
+from abrlab.policies import (beam_expert_decide, make_bola_policy, make_rate_rule_policy,
+                             make_robust_mpc_policy)
 from abrlab.sim import QoEWeights, VideoSpec, run_session
 from abrlab.traces import SynthConfig, synthesize_trace
 
@@ -18,7 +18,7 @@ def main():
         "rate-rule": make_rate_rule_policy(),
         "bola": make_bola_policy(),
         "robust-mpc": make_robust_mpc_policy(spec, w),
-        "clairvoyant": make_expert_policy(trace, spec, w, horizon=5),
+        "clairvoyant": lambda state: beam_expert_decide(state, trace, spec, w, horizon=5),
     }
 
     print(f"trace {trace.trace_id}: mean {trace.throughput_bps.mean() / 1e6:.1f} Mbit/s, "

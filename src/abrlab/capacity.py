@@ -54,15 +54,6 @@ def candidate_auditors(cfg: PredictorConfig, scale: float) -> dict[str, Callable
             "oracle": make_oracle_auditor}
 
 
-def point_predict(history_bps: np.ndarray, horizon_s: int) -> float:
-    """Mean of the last min(horizon, available) 1 Hz samples, oldest first."""
-    h = np.asarray(history_bps, dtype=np.float64)
-    if h.size == 0:
-        raise ValueError("cannot forecast from an empty history")
-    window = h[-min(horizon_s, h.size):]
-    return float(np.add.reduce(window) / window.size)  # ndarray.mean's own steps, without its wrapper
-
-
 def lower_quantile(values: Sequence[float], delta: float) -> float:
     """Ascending order statistic at rank ceil(delta * n), 1-indexed."""
     v = np.sort(np.asarray(values, dtype=np.float64))
@@ -81,7 +72,12 @@ class PointPredictor:
         self.cfg = cfg
 
     def predict(self, history_bps: np.ndarray) -> float:
-        return point_predict(history_bps, self.cfg.horizon_s)
+        """Mean of the last min(horizon_s, available) 1 Hz samples, oldest first."""
+        h = np.asarray(history_bps, dtype=np.float64)
+        if h.size == 0:
+            raise ValueError("cannot forecast from an empty history")
+        window = h[-min(self.cfg.horizon_s, h.size):]
+        return float(np.add.reduce(window) / window.size)  # ndarray.mean's own steps, without its wrapper
 
 
 class LowerBoundPredictor:
@@ -132,16 +128,14 @@ def calibration_ratios(point: PointPredictor, traces: Sequence[ThroughputTrace])
 MIN_CALIBRATION_WINDOWS = 50
 
 
-def calibrate_lower_bound(point: PointPredictor, traces: Sequence[ThroughputTrace],
-                          delta: float | None = None) -> CalibrationResult:
-    """Fit the multiplicative lower-bound scale on calibration traces."""
-    delta = point.cfg.delta if delta is None else delta
+def calibrate_lower_bound(point: PointPredictor, traces: Sequence[ThroughputTrace]) -> CalibrationResult:
+    """Fit the multiplicative lower-bound scale, at `point.cfg.delta`, on calibration traces."""
     ratios = calibration_ratios(point, traces)
     if ratios.size < MIN_CALIBRATION_WINDOWS:
         raise ValueError(f"need at least {MIN_CALIBRATION_WINDOWS} calibration windows, got {ratios.size}")
     return CalibrationResult(
-        scale=lower_quantile(ratios, delta),
-        delta=delta,
+        scale=lower_quantile(ratios, point.cfg.delta),
+        delta=point.cfg.delta,
         horizon_s=point.cfg.horizon_s,
         n_windows=int(ratios.size),
     )

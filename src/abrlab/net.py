@@ -271,8 +271,8 @@ def save_checkpoint(path: str | Path, net: PolicyNet, metadata: dict | None = No
     """One JSON manifest line, then the raw little-endian float64 parameters.
 
     Deliberately not an archive format: identical inputs produce identical
-    bytes, so checkpoint hashes are reproducible. A net holding a NaN or inf
-    parameter is refused before anything is written.
+    bytes, so checkpoint hashes are reproducible. A NaN or inf parameter is
+    refused before anything is written, and `load_checkpoint` refuses it too.
     """
     bad = int(np.count_nonzero(~np.isfinite(net.params)))
     if bad:
@@ -310,6 +310,9 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyNet, dict]:
         hidden=tuple(int(h) for h in manifest["net"]["hidden"]),
     )
     params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    bad = int(np.count_nonzero(~np.isfinite(params)))
+    if bad:
+        raise ValueError(f"{path}: refusing to load a checkpoint with {bad} non-finite parameters")
     net = PolicyNet(cfg, params)
     return net, manifest.get("meta", {})
 

@@ -74,7 +74,7 @@ def _harmonic_mean(values: np.ndarray) -> np.ndarray:
 
 
 def _estimate_rows(hist: np.ndarray, cfg: MpcConfig) -> np.ndarray:
-    """`throughput_estimate` of each row of `hist`, (k, m) positive samples,
+    """The forecast of each row of `hist`, (k, m) positive samples,
     oldest first. The robust discount reconstructs the trailing one-step-ahead
     prediction errors: the forecast at position j is the harmonic mean of up
     to history_len samples before it; only overestimates (realized under the
@@ -102,11 +102,6 @@ def throughput_estimates(states: Sequence[PlayerState], cfg: MpcConfig) -> np.nd
         rows = np.flatnonzero(counts == m)
         est[rows] = _estimate_rows(np.stack([hists[i] for i in rows]), cfg)
     return est
-
-
-def throughput_estimate(state: PlayerState, cfg: MpcConfig) -> float:
-    """One state's forecast: `throughput_estimates` of a batch of one."""
-    return float(throughput_estimates([state], cfg)[0])
 
 
 def _plan_step(q, b, prev, rung, d, rates, w: QoEWeights, chunk_duration_s: float, buffer_max_s: float):
@@ -283,11 +278,6 @@ def robust_mpc_labels(states: Sequence[PlayerState], spec: VideoSpec, w: QoEWeig
     return labels
 
 
-def robust_mpc_decide(state: PlayerState, spec: VideoSpec, w: QoEWeights, cfg: MpcConfig = MpcConfig()) -> int:
-    """Robust MPC's rung for one state: `robust_mpc_labels` of a batch of one."""
-    return int(robust_mpc_labels([state], spec, w, cfg)[0])
-
-
 def beam_expert_labels(
     states: list[PlayerState], trace: ThroughputTrace, spec: VideoSpec, w: QoEWeights, horizon: int = 5
 ) -> list[int]:
@@ -328,11 +318,7 @@ def make_bola_policy(cfg: BolaConfig = BolaConfig()):
 def make_robust_mpc_policy(spec: VideoSpec, w: QoEWeights, cfg: MpcConfig = MpcConfig()):
     """Robust MPC per state; `decide.batch` decides many states in one search."""
     def decide(state: PlayerState) -> int:
-        return robust_mpc_decide(state, spec, w, cfg)
+        return int(robust_mpc_labels([state], spec, w, cfg)[0])
 
     decide.batch = lambda states: robust_mpc_labels(states, spec, w, cfg)
     return decide
-
-
-def make_expert_policy(trace: ThroughputTrace, spec: VideoSpec, w: QoEWeights, horizon: int = 5):
-    return lambda state: beam_expert_decide(state, trace, spec, w, horizon)

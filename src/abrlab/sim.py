@@ -42,9 +42,6 @@ class BitrateLadder:
     def num_rungs(self) -> int:
         return len(self.rungs_kbps)
 
-    def rates_bps(self) -> np.ndarray:
-        return np.asarray(self.rungs_kbps, dtype=np.float64) * 1000.0
-
 
 @dataclass(frozen=True)
 class QoEWeights:

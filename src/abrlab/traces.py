@@ -41,6 +41,8 @@ class ThroughputTrace:
         # leave `samples` disagreeing with `throughput_bps`.
         for name in ("times_s", "throughput_bps", "handover_times_s"):
             array = np.array(getattr(self, name), dtype=np.float64)
+            if not np.isfinite(array).all():  # NaN passes every comparison below
+                raise TraceValidationError(f"trace {self.trace_id!r}: non-finite value in {name}")
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         t, v = self.times_s, self.throughput_bps
@@ -86,8 +88,8 @@ def ingest_trace(path: str | Path) -> ThroughputTrace:
     values: list[float] = []
     # read_text turns CR and CRLF into LF, so splitting on LF numbers lines as
     # iterating the file would (splitlines would also split on form feeds).
-    # float() strips the whitespace around a field.
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+    # float() strips the whitespace around a field; utf-8-sig drops a byte-order mark.
+    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").split("\n"), start=1):
         parts = line.split(",")
         if len(parts) != 2:
             if not line.strip():
@@ -105,6 +107,9 @@ def ingest_trace(path: str | Path) -> ThroughputTrace:
         raise TraceValidationError(f"{path.name}: empty trace")
     t_arr = np.asarray(times, dtype=np.float64)
     v_arr = np.asarray(values, dtype=np.float64)
+    # float() parses nan and inf; refuse them before resampling can drop one.
+    if not (np.isfinite(t_arr).all() and np.isfinite(v_arr).all()):
+        raise TraceValidationError(f"{path.name}: non-finite time or throughput sample")
     if np.any(np.diff(t_arr) <= 0):
         raise TraceValidationError(f"{path.name}: timestamps must be strictly increasing")
     if np.any(v_arr <= 0):
@@ -116,7 +121,7 @@ def ingest_trace(path: str | Path) -> ThroughputTrace:
     sidecar = path.with_suffix(HANDOVER_SIDECAR_SUFFIX)
     if sidecar.exists():
         events: list[float] = []
-        with open(sidecar, "r", encoding="utf-8") as fh:
+        with open(sidecar, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line:

@@ -20,7 +20,6 @@ from abrlab.capacity import (
     decision_scores,
     high_risk_overrate,
     lower_quantile,
-    point_predict,
     replay,
     violation_rate,
 )
@@ -32,18 +31,18 @@ W = QoEWeights()
 
 class TestPointPredict:
     def test_constant_history(self):
-        assert point_predict(np.full(30, 50e6), 15) == 50e6
+        assert PointPredictor(PredictorConfig(horizon_s=15)).predict(np.full(30, 50e6)) == 50e6
 
     def test_mean_of_last_horizon_seconds(self):
         hist = np.array([20e6, 40e6, 20e6, 40e6])
-        assert point_predict(hist, 2) == pytest.approx(30e6)
+        assert PointPredictor(PredictorConfig(horizon_s=2)).predict(hist) == pytest.approx(30e6)
 
     def test_short_history_uses_what_exists(self):
-        assert point_predict(np.array([10e6]), 15) == 10e6
+        assert PointPredictor(PredictorConfig(horizon_s=15)).predict(np.array([10e6])) == 10e6
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            point_predict(np.zeros(0), 15)
+            PointPredictor(PredictorConfig(horizon_s=15)).predict(np.zeros(0))
 
     def test_predictor_averages_configured_horizon(self):
         cfg = PredictorConfig(horizon_s=3)
@@ -159,7 +158,7 @@ class TestCalibration:
     def test_explicit_delta_overrides_config(self):
         cfg = PredictorConfig(horizon_s=2, delta=0.25)
         traces = [_step_trace(reps=10)]
-        res = calibrate_lower_bound(PointPredictor(cfg), traces, delta=0.5)
+        res = calibrate_lower_bound(PointPredictor(PredictorConfig(horizon_s=2, delta=0.5)), traces)
         assert res.delta == 0.5
         assert res.scale >= calibrate_lower_bound(PointPredictor(cfg), traces).scale
 

@@ -431,6 +431,19 @@ class TestErrorPaths:
         assert main(["finetune", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "error: config key ppo.n_envs: expected int, got 2.5" in capsys.readouterr().err
 
+    def test_checkpoint_with_a_nan_parameter_is_an_error_line(self, pipeline, tmp_path, capsys):
+        # it loaded, and the greedy net's NaN scores made bc-only a plausible-looking row
+        run = tmp_path / "run"
+        shutil.copytree(pipeline, run)
+        bc = next((run / "checkpoints").glob("bc_*.ckpt"))
+        head, _, body = bc.read_bytes().partition(b"\n")
+        params = np.frombuffer(body, dtype="<f8").copy()
+        params[0] = np.nan
+        bc.write_bytes(head + b"\n" + params.tobytes())
+        assert main(["evaluate", "--config", str(pipeline.parent / "exp.yaml"), "--out", str(run),
+                     "--methods", "bc-only"]) == 2
+        assert f"error: {bc}: refusing to load a checkpoint with 1 non-finite parameters" in capsys.readouterr().err
+
     def test_mpc_window_longer_than_history_is_rejected(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path / "exp.yaml", history_len=4, mpc={"horizon": 3, "history_len": 5})
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "run"),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from abrlab.net import NetConfig, feature_dim, init_policy_net, make_greedy_policy
-from abrlab.policies import MpcConfig, beam_expert_decide, beam_expert_labels, robust_mpc_decide
+from abrlab.policies import MpcConfig, beam_expert_decide, beam_expert_labels, robust_mpc_labels
 from abrlab.sim import (PlayerState, QoEWeights, SessionEnv, TraceExhaustedError, VideoSpec,
                         chunk_sizes, download_chunk)
 from abrlab.traces import SynthConfig, synthesize_trace
@@ -98,11 +98,11 @@ def test_expert_labels(corpus):
 
 
 def test_robust_mpc_labels(corpus):
-    assert _labels(lambda s, tr: robust_mpc_decide(s, SPEC, W, MpcConfig()), corpus) == MPC_ROBUST_LABELS
+    assert _labels(lambda s, tr: robust_mpc_labels([s], SPEC, W, MpcConfig())[0], corpus) == MPC_ROBUST_LABELS
 
 
 def test_plain_mpc_labels(corpus):
-    got = _labels(lambda s, tr: robust_mpc_decide(s, SPEC, W, MpcConfig(robust=False)), corpus)
+    got = _labels(lambda s, tr: robust_mpc_labels([s], SPEC, W, MpcConfig(robust=False))[0], corpus)
     assert got == MPC_PLAIN_LABELS
 
 

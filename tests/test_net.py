@@ -462,3 +462,15 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=r"nan\.ckpt.* 1 non-finite"):
             save_checkpoint(p, net)
         assert not p.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_refused_on_load(self, tmp_path, bad):
+        # save_checkpoint never writes one; a patched or corrupted file can hold it.
+        p = tmp_path / "patched.ckpt"
+        save_checkpoint(p, self._net())
+        head, _, body = p.read_bytes().partition(b"\n")
+        params = np.frombuffer(body, dtype="<f8").copy()
+        params[[2, 7]] = bad
+        p.write_bytes(head + b"\n" + params.tobytes())
+        with pytest.raises(ValueError, match=r"patched\.ckpt.* 2 non-finite"):
+            load_checkpoint(p)

@@ -14,13 +14,10 @@ from abrlab.policies import (
     bola_decide,
     bulk_download_times,
     make_bola_policy,
-    make_expert_policy,
     make_rate_rule_policy,
     make_robust_mpc_policy,
     rate_rule_decide,
-    robust_mpc_decide,
     robust_mpc_labels,
-    throughput_estimate,
     throughput_estimates,
     trace_cumulative_bytes,
 )
@@ -131,20 +128,20 @@ class TestThroughputEstimate:
 
     def test_plain_estimate(self):
         s = _state(_flat_spec(), hist=(10e6, 40e6))
-        assert throughput_estimate(s, MpcConfig(robust=False)) == pytest.approx(16e6)
+        assert throughput_estimates([s], MpcConfig(robust=False))[0] == pytest.approx(16e6)
 
     def test_no_history_returns_zero(self):
-        assert throughput_estimate(_state(_flat_spec()), MpcConfig()) == 0.0
+        assert throughput_estimates([_state(_flat_spec())], MpcConfig())[0] == 0.0
 
     def test_overprediction_inflates_discount(self):
         # forecast 20 then realize 10: worst relative miss is 1.0, so halve
         s = _state(_flat_spec(), hist=(20e6, 10e6))
-        est = throughput_estimate(s, MpcConfig(robust=True, history_len=5))
+        est = throughput_estimates([s], MpcConfig(robust=True, history_len=5))[0]
         assert est == pytest.approx(_harmonic_mean(np.array([20e6, 10e6])) / 2.0)
 
     def test_underprediction_costs_nothing(self):
         s = _state(_flat_spec(), hist=(10e6, 20e6))
-        est = throughput_estimate(s, MpcConfig(robust=True, history_len=5))
+        est = throughput_estimates([s], MpcConfig(robust=True, history_len=5))[0]
         assert est == pytest.approx(_harmonic_mean(np.array([10e6, 20e6])))
 
     def test_robust_never_exceeds_plain(self):
@@ -152,8 +149,8 @@ class TestThroughputEstimate:
         for _ in range(30):
             hist = tuple(rng.uniform(1e6, 1e8, int(rng.integers(1, 8))))
             s = _state(_flat_spec(), hist=hist)
-            robust = throughput_estimate(s, MpcConfig(robust=True))
-            plain = throughput_estimate(s, MpcConfig(robust=False))
+            robust = throughput_estimates([s], MpcConfig(robust=True))[0]
+            plain = throughput_estimates([s], MpcConfig(robust=False))[0]
             assert robust <= plain + 1e-9
 
 
@@ -180,14 +177,14 @@ def _oracle_mpc_first_rung(state, spec, w, est, horizon):
 class TestRobustMpc:
     def test_fast_link_full_buffer_goes_top(self):
         s = _state(_flat_spec(), buffer_s=60.0, prev=5, hist=(200e6,))
-        assert robust_mpc_decide(s, _flat_spec(), W) == 5
+        assert robust_mpc_labels([s], _flat_spec(), W)[0] == 5
 
     def test_slow_link_small_buffer_goes_bottom(self):
         s = _state(_flat_spec(), buffer_s=2.0, prev=0, hist=(2e6,))
-        assert robust_mpc_decide(s, _flat_spec(), W) == 0
+        assert robust_mpc_labels([s], _flat_spec(), W)[0] == 0
 
     def test_no_history_goes_bottom(self):
-        assert robust_mpc_decide(_state(_flat_spec()), _flat_spec(), W) == 0
+        assert robust_mpc_labels([_state(_flat_spec())], _flat_spec(), W)[0] == 0
 
     def test_horizon_one_is_single_step_argmax(self):
         spec = _flat_spec()
@@ -202,7 +199,7 @@ class TestRobustMpc:
                 d = 8.0 * chunk_size(spec, 0, a) / est
                 stall = max(d - s.buffer_s, 0.0)
                 scores.append(rates[a] / 1000.0 - 40.0 * stall - abs(rates[a] - rates[s.prev_rung]) / 1000.0)
-            assert robust_mpc_decide(s, spec, W, cfg) == int(np.argmax(scores))
+            assert robust_mpc_labels([s], spec, W, cfg)[0] == int(np.argmax(scores))
 
     def test_matches_plan_enumeration(self):
         spec = VideoSpec()
@@ -217,7 +214,7 @@ class TestRobustMpc:
                 hist=(est,),
                 chunk_index=int(rng.integers(0, 45)),
             )
-            got = robust_mpc_decide(s, spec, W, cfg)
+            got = robust_mpc_labels([s], spec, W, cfg)[0]
             best, per_first = _oracle_mpc_first_rung(s, spec, W, est, 3)
             assert per_first[got] == pytest.approx(per_first[best], abs=1e-9)
             runner_up = max((v for k, v in per_first.items() if k != best), default=-math.inf)
@@ -239,8 +236,8 @@ class TestRobustMpc:
         spec = _flat_spec()
         s = _state(spec, chunk_index=46, hist=(50e6,))
         assert s.remaining_chunks == 2
-        a = robust_mpc_decide(s, spec, W, MpcConfig(horizon=5, robust=False))
-        b = robust_mpc_decide(s, spec, W, MpcConfig(horizon=2, robust=False))
+        a = robust_mpc_labels([s], spec, W, MpcConfig(horizon=5, robust=False))[0]
+        b = robust_mpc_labels([s], spec, W, MpcConfig(horizon=2, robust=False))[0]
         assert a == b
 
 
@@ -337,7 +334,7 @@ class TestRobustMpcAgainstReference:
             clipped += s.remaining_chunks < horizon
             for robust in (True, False):
                 cfg = MpcConfig(horizon=horizon, robust=robust)
-                assert robust_mpc_decide(s, spec, w, cfg) == _reference_robust_mpc_decide(s, spec, w, cfg), (i, cfg)
+                assert robust_mpc_labels([s], spec, w, cfg)[0] == _reference_robust_mpc_decide(s, spec, w, cfg), (i, cfg)
         assert clipped > 0
 
     @pytest.mark.parametrize("history_len", [1, 2, 3, 5, 8, 10])
@@ -345,7 +342,7 @@ class TestRobustMpcAgainstReference:
         for s, _, _ in visited:
             for robust in (True, False):
                 cfg = MpcConfig(history_len=history_len, robust=robust)
-                assert throughput_estimate(s, cfg) == _reference_throughput_estimate(s, cfg)
+                assert throughput_estimates([s], cfg)[0] == _reference_throughput_estimate(s, cfg)
 
     @pytest.mark.parametrize("history_len", range(1, 9))
     def test_row_wise_estimates_equal_the_per_state_reference(self, visited, history_len):
@@ -371,10 +368,10 @@ class TestRobustMpcAgainstReference:
         s = _state(spec, buffer_s=60.0, prev=0, hist=(9.6e6,) * 8, chunk_index=spec.num_chunks - 2)
         for robust in (True, False):
             cfg = MpcConfig(robust=robust)
-            est = throughput_estimate(s, cfg)
+            est = throughput_estimates([s], cfg)[0]
             _, per_first = _oracle_mpc_first_rung(s, spec, w, est, 2)
             assert per_first[3] == per_first[5] == max(per_first.values())
-            assert robust_mpc_decide(s, spec, w, cfg) == _reference_robust_mpc_decide(s, spec, w, cfg) == 3
+            assert robust_mpc_labels([s], spec, w, cfg)[0] == _reference_robust_mpc_decide(s, spec, w, cfg) == 3
 
 
 class TestRobustMpcBatch:
@@ -511,7 +508,7 @@ class TestClairvoyantExpert:
         spec = VideoSpec(num_chunks=4)
         for seed in (51, 52, 53):
             trace = synthesize_trace(SynthConfig(duration_s=600, seed=seed))
-            expert = make_expert_policy(trace, spec, W, horizon=4)
+            expert = lambda s: beam_expert_decide(s, trace, spec, W, horizon=4)
             q_expert = run_session(trace, spec, W, expert).session_qoe
             for a in range(6):
                 q_const = run_session(trace, spec, W, lambda s, a=a: a).session_qoe
@@ -535,4 +532,4 @@ class TestFactories:
         assert make_rate_rule_policy()(s_fast) == 5
         assert make_bola_policy()(_state(spec, buffer_s=0.0)) == 0
         assert make_robust_mpc_policy(spec, W)(s_fast) == 5
-        assert make_expert_policy(trace, spec, W)(s_fast) == 5
+        assert beam_expert_decide(s_fast, trace, spec, W) == 5

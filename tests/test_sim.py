@@ -47,9 +47,6 @@ def _spec(**kw):
 
 
 class TestLadder:
-    def test_rates_bps(self):
-        assert np.array_equal(BitrateLadder((3000, 8000)).rates_bps(), [3e6, 8e6])
-
     def test_default_has_six_rungs(self):
         assert BitrateLadder().num_rungs == 6
 

@@ -108,6 +108,36 @@ class TestIngest:
         with pytest.raises(TraceParseError, match="line 2"):
             ingest_trace(tmp_path / "s.csv")
 
+    @pytest.mark.parametrize("text", [
+        "0,5e6\n1,nan\n2,7e6\n3,8e6\n4,9e6\n",      # a NaN sample passes `<= 0`
+        "0,5e6\n1,6e6\n2,7e6\n3,inf\n4,9e6\n",      # an inf sample
+        "0,5e6\n2,nan\n2.5,6e6\n4,7e6\n",            # a NaN row that resampling would drop
+        "0,5e6\nnan,6e6\n2,7e6\n",                    # a NaN time passes `diff <= 0`
+        "0,5e6\n1,6e6\ninf,7e6\n",
+    ])
+    def test_non_finite_rows_rejected(self, tmp_path, text):
+        p = _write(tmp_path, "nf.csv", text)
+        with pytest.raises(TraceValidationError, match="non-finite"):
+            ingest_trace(p)
+
+    def test_non_finite_handover_rejected(self, tmp_path):
+        _write(tmp_path, "s.csv", "0,5e6\n1,6e6\n")
+        _write(tmp_path, "s.handovers", "0.5\nnan\n")
+        with pytest.raises(TraceValidationError, match="non-finite"):
+            ingest_trace(tmp_path / "s.csv")
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path):
+        _write(tmp_path, "bom.csv", "\ufeff0,5e6\n1,6e6\n2,7e6\n")
+        _write(tmp_path, "bom.handovers", "\ufeff0.5\n")
+        tr = ingest_trace(tmp_path / "bom.csv")
+        assert tr.times_s.tolist() == [0.0, 1.0, 2.0]
+        assert tr.throughput_bps.tolist() == [5e6, 6e6, 7e6]
+        assert tr.handover_times_s.tolist() == [0.5]
+
+    def test_byte_order_mark_before_a_header(self, tmp_path):
+        p = _write(tmp_path, "bomh.csv", "\ufefftime_s,throughput_bps\n0,5e6\n1,6e6\n")
+        assert ingest_trace(p).throughput_bps.tolist() == [5e6, 6e6]
+
 
 def _reference_rows(path):
     """The line-by-line parser `ingest_trace` replaced: (times, values) of a
@@ -162,6 +192,16 @@ class TestTraceValidation:
     def test_uneven_spacing_rejected_at_construction(self):
         with pytest.raises(TraceValidationError, match="1.0 s"):
             ThroughputTrace("x", [0.0, 1.0, 3.0], [1e6, 1e6, 1e6])
+
+    @pytest.mark.parametrize("times, bps, handovers", [
+        ([0.0, math.nan, 2.0], [1e6, 1e6, 1e6], []),
+        ([0.0, 1.0, 2.0], [1e6, math.nan, 1e6], []),
+        ([0.0, 1.0, 2.0], [1e6, 1e6, math.inf], []),
+        ([0.0, 1.0, 2.0], [1e6, 1e6, 1e6], [math.nan]),
+    ])
+    def test_non_finite_values_rejected_at_construction(self, times, bps, handovers):
+        with pytest.raises(TraceValidationError, match="non-finite"):
+            ThroughputTrace("x", times, bps, handovers)
 
     def test_handover_outside_span_rejected(self):
         with pytest.raises(TraceValidationError, match="outside"):
