@@ -11,6 +11,7 @@ search, when the episode ends (or when the round's quota cuts it short).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Sequence
@@ -42,10 +43,14 @@ class BcConfig:
     expert_horizon: int = 5
 
     def __post_init__(self):
-        # 0 states: a NaN loss; 0 rows: no step; horizon 0: every label rung 0
-        for name in ("rollout_steps", "batch_size", "expert_horizon"):
+        # 0 states: a NaN loss; 0 epochs: the initial net is saved as the
+        # clone; 0 rows: no step; horizon 0: every label rung 0
+        for name in ("rollout_steps", "epochs", "batch_size", "expert_horizon"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # a negative rate climbs the cross-entropy
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 @dataclass
@@ -145,20 +150,17 @@ def dagger_round(
     n = all_labels.size
     clamp_counter: dict = {}
     epoch_losses = []
-
-    def dataset_loss() -> float:  # a forward pass only; no gradient is needed
-        return _cross_entropy(forward(net, all_feats)[0], all_labels)[0]
-
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
             _, grads = imitation_loss(net, all_feats[idx], all_labels[idx], clamp_counter)
             opt.step(net.params, grads)
-        epoch_losses.append(dataset_loss())
+        # the loss over the whole dataset is a forward pass only; no gradient is needed
+        epoch_losses.append(_cross_entropy(forward(net, all_feats)[0], all_labels)[0])
     return {
         "dataset_size": n,
-        "loss": epoch_losses[-1] if epoch_losses else dataset_loss(),
+        "loss": epoch_losses[-1],
         "epoch_losses": epoch_losses,
         "agreement": expert_agreement(net, all_feats, all_labels),
         "clamped_logs": clamp_counter.get("clamped", 0),

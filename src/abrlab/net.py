@@ -86,7 +86,7 @@ class NetConfig:
 @functools.lru_cache(maxsize=None)
 def _layout(cfg: NetConfig) -> tuple[tuple[str, tuple[int, ...], slice], ...]:
     """(name, shape, slice of the flat vector) of each layer, worked out once
-    per config: `backward` builds a net for its gradient on every call."""
+    per config; `backward` lays its gradient out in this order."""
     d, (h1, h2), a = cfg.input_dim, cfg.hidden, cfg.num_actions
     layout, offset = [], 0
     for name, shape in [
@@ -136,9 +136,10 @@ def init_policy_net(cfg: NetConfig, seed: int) -> PolicyNet:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def forward(net: PolicyNet, x: np.ndarray, with_cache: bool = False):
@@ -147,10 +148,18 @@ def forward(net: PolicyNet, x: np.ndarray, with_cache: bool = False):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"forward takes an (n, d) feature matrix, got shape {x.shape}")
-    h1 = np.tanh(x @ net["w1"] + net["b1"])
-    h2 = np.tanh(h1 @ net["w2"] + net["b2"])
-    logits = h2 @ net["wp"] + net["bp"]
-    values = h2 @ net["wv"] + net["bv"][0]
+    layer = net._views
+    # each bias and tanh acts in place on its fresh matmul output
+    h1 = x @ layer["w1"]
+    h1 += layer["b1"]
+    np.tanh(h1, out=h1)
+    h2 = h1 @ layer["w2"]
+    h2 += layer["b2"]
+    np.tanh(h2, out=h2)
+    logits = h2 @ layer["wp"]
+    logits += layer["bp"]
+    values = h2 @ layer["wv"]
+    values += layer["bv"][0]
     probs = softmax(logits)
     if with_cache:
         return probs, values, (x, h1, h2, logits)
@@ -163,24 +172,20 @@ def backward(net: PolicyNet, cache, dlogits: np.ndarray, dvalue: np.ndarray) -> 
     `cache` is what `forward(..., with_cache=True)` returned for the batch.
     Callers express any scalar loss through its per-sample gradients at the
     two heads, (n, A) and (n,); the returned vector is the sum over the batch
-    (divide upstream by n for a mean).
+    (divide upstream by n for a mean), one concatenation of the layer
+    gradients in `_layout` order.
     """
     x, h1, h2, _ = cache
-    grad = np.zeros_like(net.params)
-    g = PolicyNet(net.cfg, grad)  # same layout, zero-filled
-    g["wp"][:] = h2.T @ dlogits
-    g["bp"][:] = dlogits.sum(axis=0)
-    g["wv"][:] = h2.T @ dvalue
-    g["bv"][:] = dvalue.sum()
-    dh2 = dlogits @ net["wp"].T + dvalue[:, None] * net["wv"][None, :]
-    dz2 = dh2 * (1.0 - h2 * h2)
-    g["w2"][:] = h1.T @ dz2
-    g["b2"][:] = dz2.sum(axis=0)
-    dh1 = dz2 @ net["w2"].T
-    dz1 = dh1 * (1.0 - h1 * h1)
-    g["w1"][:] = x.T @ dz1
-    g["b1"][:] = dz1.sum(axis=0)
-    return grad
+    layer = net._views
+    dz2 = dlogits @ layer["wp"].T  # dh2, then dz2 in place
+    dz2 += dvalue[:, None] * layer["wv"]
+    dz2 *= 1.0 - h2 * h2
+    dz1 = dz2 @ layer["w2"].T
+    dz1 *= 1.0 - h1 * h1
+    grad = {"w1": x.T @ dz1, "b1": dz1.sum(axis=0), "w2": h1.T @ dz2, "b2": dz2.sum(axis=0),
+            "wp": h2.T @ dlogits, "bp": dlogits.sum(axis=0), "wv": h2.T @ dvalue,
+            "bv": dvalue.sum(keepdims=True)}
+    return np.concatenate([grad[name].ravel() for name, _, _ in net.layout])
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -239,7 +244,10 @@ def sampled_steps(net: PolicyNet, traces: Sequence[ThroughputTrace], spec: Video
 
 
 class Adam:
-    """Adam with bias correction and optional global-gradient-norm clipping."""
+    """Adam with bias correction and optional global-gradient-norm clipping.
+
+    `step` updates the moments and the parameters in place, through two
+    work vectors allocated once."""
 
     def __init__(self, size: int, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, max_grad_norm: float | None = 0.5):
@@ -248,23 +256,38 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._step = np.empty(size)
+        self._denom = np.empty(size)
 
     def clip(self, grad: np.ndarray) -> np.ndarray:
         if self.max_grad_norm is None:
             return grad
-        norm = float(np.linalg.norm(grad))
+        norm = math.sqrt(grad.dot(grad))  # np.linalg.norm of a vector, without its wrapper
         if norm > self.max_grad_norm and norm > 0.0:
             return grad * (self.max_grad_norm / norm)
         return grad
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; and
+        params -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps),
+        each product and quotient formed as written."""
         g = self.clip(grad)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
-        m_hat = self.m / (1.0 - self.beta1 ** self.t)
-        v_hat = self.v / (1.0 - self.beta2 ** self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, s, d = self.m, self.v, self._step, self._denom
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=s)
+        s *= g
+        v += s
+        np.divide(v, 1.0 - self.beta2 ** self.t, out=d)
+        np.sqrt(d, out=d)
+        d += self.eps
+        np.divide(m, 1.0 - self.beta1 ** self.t, out=s)
+        s *= self.lr
+        s /= d
+        params -= s
 
 
 def save_checkpoint(path: str | Path, net: PolicyNet, metadata: dict | None = None) -> None:

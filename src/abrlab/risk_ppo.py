@@ -47,6 +47,22 @@ class PpoConfig:
         for name in ("total_steps", "n_steps", "n_envs", "minibatch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # Float settings that would load and break training silently: a norm
+        # cap below 0 flips every gradient, so each step climbs the loss; a
+        # reward clip of 0 makes every normalised reward one constant. inf
+        # turns the cap or the clip off.
+        for name in ("gamma", "gae_lambda"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+        if not (0.0 < self.clip_range < 1.0):
+            raise ValueError(f"clip_range must lie in (0, 1), got {self.clip_range}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (math.isfinite(self.value_coef) and self.value_coef >= 0.0):
+            raise ValueError(f"value_coef must be finite and non-negative, got {self.value_coef}")
+        for name in ("max_grad_norm", "reward_clip"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -141,16 +157,18 @@ def gae_advantages(batch: RolloutBatch, gamma: float, lam: float, normalize: boo
     from the stored next-state value. Advantages are normalized to zero mean
     and unit variance across the whole update unless disabled.
     """
-    adv = np.zeros_like(batch.rewards)
+    rewards, values, dones = batch.rewards.tolist(), batch.values.tolist(), batch.dones.tolist()
+    adv = [0.0] * len(rewards)
     for e, (lo, hi) in enumerate(batch.env_slices):
         last_adv = 0.0
         next_value = float(batch.bootstrap_values[e])
         for t in range(hi - 1, lo - 1, -1):
-            nonterminal = 0.0 if batch.dones[t] else 1.0
-            delta = batch.rewards[t] + gamma * next_value * nonterminal - batch.values[t]
+            nonterminal = 0.0 if dones[t] else 1.0
+            delta = rewards[t] + gamma * next_value * nonterminal - values[t]
             last_adv = delta + gamma * lam * nonterminal * last_adv
             adv[t] = last_adv
-            next_value = float(batch.values[t])
+            next_value = values[t]
+    adv = np.array(adv)
     returns = adv + batch.values
     if normalize:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
@@ -159,9 +177,14 @@ def gae_advantages(batch: RolloutBatch, gamma: float, lam: float, normalize: boo
     return batch
 
 
-def clipped_surrogate(ratio: np.ndarray, advantages: np.ndarray, clip_range: float) -> np.ndarray:
-    """Per-sample pessimistic surrogate min(r*A, clip(r)*A)."""
-    return np.minimum(ratio * advantages, np.clip(ratio, 1.0 - clip_range, 1.0 + clip_range) * advantages)
+def clipped_surrogate(ratio: np.ndarray, advantages: np.ndarray,
+                      clip_range: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample pessimistic surrogate min(r*A, clip(r)*A), and its
+    derivative in log r: r*A where the unclipped branch is active
+    (r*A <= clip(r)*A), else 0, the subgradient of the min."""
+    unclipped = ratio * advantages
+    clipped = ratio.clip(1.0 - clip_range, 1.0 + clip_range) * advantages
+    return np.minimum(unclipped, clipped), np.where(unclipped <= clipped, unclipped, 0.0)
 
 
 def ppo_update(net: PolicyNet, batch: RolloutBatch, cfg: PpoConfig, opt: Adam,
@@ -170,50 +193,57 @@ def ppo_update(net: PolicyNet, batch: RolloutBatch, cfg: PpoConfig, opt: Adam,
 
     Maximizes surrogate - value_coef * value MSE (no entropy term). Gradients
     flow only through samples where the unclipped branch is active, matching
-    the subgradient of the min. A non-finite loss or gradient raises a
-    RuntimeError naming `update` and the minibatch, before the step.
+    the subgradient of the min. Each epoch takes the batch through its
+    permutation once; a minibatch is a run of rows of that copy. A non-finite
+    loss or gradient raises a RuntimeError naming `update` and the minibatch,
+    before the step.
     """
     if batch.advantages is None or batch.returns is None:
         raise ValueError("run gae_advantages before ppo_update")
-    n = batch.size
-    stats = {"policy_loss": 0.0, "value_loss": 0.0, "clip_fraction": 0.0, "approx_kl": 0.0}
+    n, size = batch.size, cfg.minibatch_size
+    rows = np.arange(min(size, n))
+    sources = (batch.features, batch.actions, batch.advantages, batch.returns, batch.logprobs)
+    columns = [np.empty_like(a) for a in sources]  # one permuted copy, refilled each epoch
+    policy_sum = value_sum = clip_sum = kl_sum = 0.0
     n_minibatches = 0
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
-        for lo in range(0, n, cfg.minibatch_size):
-            idx = perm[lo : lo + cfg.minibatch_size]
-            m = idx.size
-            feats = batch.features[idx]
-            acts = batch.actions[idx]
-            adv = batch.advantages[idx]
-            rets = batch.returns[idx]
-            old_logp = batch.logprobs[idx]
+        for a, column in zip(sources, columns):
+            # perm holds each row once, so "clip" clips nothing; unlike the
+            # default mode it writes into `column` without a temporary copy
+            np.take(a, perm, axis=0, out=column, mode="clip")
+        for lo in range(0, n, size):
+            feats, acts, adv, rets, old_logp = (a[lo : lo + size] for a in columns)
+            m = acts.size
+            picked = rows[:m]
 
             probs, values, cache = forward(net, feats, with_cache=True)
-            new_logp = np.log(np.maximum(probs[np.arange(m), acts], PROB_FLOOR))
+            new_logp = np.log(np.maximum(probs[picked, acts], PROB_FLOOR))
             ratio = np.exp(new_logp - old_logp)
-            clipped = np.clip(ratio, 1.0 - cfg.clip_range, 1.0 + cfg.clip_range)
-            unclipped_active = (ratio * adv) <= (clipped * adv)
-
-            coeff = np.where(unclipped_active, ratio * adv, 0.0) / m
-            dlogits = -coeff[:, None] * (np.eye(probs.shape[1])[acts] - probs)
-            dvalue = cfg.value_coef * 2.0 * (values - rets) / m
+            surrogate, coeff = clipped_surrogate(ratio, adv, cfg.clip_range)
+            coeff /= m
+            # -coeff * (onehot - probs), formed as (probs - onehot) * coeff
+            dlogits = probs.copy()
+            dlogits[picked, acts] -= 1.0
+            dlogits *= coeff[:, None]
+            error = values - rets
+            dvalue = cfg.value_coef * 2.0 * error / m
             grads = backward(net, cache, dlogits, dvalue)
-            policy_loss = float(-np.mean(clipped_surrogate(ratio, adv, cfg.clip_range)))
-            value_loss = float(np.mean((values - rets) ** 2))
-            if not (math.isfinite(policy_loss + value_loss) and np.all(np.isfinite(grads))):
+            policy_loss = -float(np.add.reduce(surrogate) / m)
+            value_loss = float(np.add.reduce(error * error) / m)
+            if not (math.isfinite(policy_loss + value_loss) and np.isfinite(grads).all()):
                 raise RuntimeError(f"PPO update {update}, minibatch {n_minibatches + 1}: "
                                    "non-finite loss or gradient")
             opt.step(net.params, grads)
 
-            stats["policy_loss"] += policy_loss
-            stats["value_loss"] += value_loss
-            stats["clip_fraction"] += float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range))
-            stats["approx_kl"] += float(np.mean(old_logp - new_logp))
+            policy_sum += policy_loss
+            value_sum += value_loss
+            clip_sum += int(np.count_nonzero(np.abs(ratio - 1.0) > cfg.clip_range)) / m
+            kl_sum += float(np.add.reduce(old_logp - new_logp) / m)
             n_minibatches += 1
-    for k in stats:
-        stats[k] /= max(n_minibatches, 1)
-    return stats
+    count = max(n_minibatches, 1)
+    return {"policy_loss": policy_sum / count, "value_loss": value_sum / count,
+            "clip_fraction": clip_sum / count, "approx_kl": kl_sum / count}
 
 
 class _RunningReturnStd:
@@ -260,7 +290,7 @@ class RolloutCollector:
         return RolloutBatch(
             features=np.array([s.features for s in steps]),
             actions=np.array([s.action for s in steps], dtype=int),
-            logprobs=np.array([np.log(max(s.probs[s.action], PROB_FLOOR)) for s in steps]),
+            logprobs=np.log(np.maximum([s.probs[s.action] for s in steps], PROB_FLOOR)),
             rewards=np.array([0.0 if s.outcome is None else s.outcome.qoe for s in steps]),
             values=np.array([s.value for s in steps]),
             dones=np.array([s.log is not None for s in steps]),

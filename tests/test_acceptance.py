@@ -129,9 +129,9 @@ def test_criterion_01_closed_form_battery():
 
     # pessimistic clipped surrogate
     one = np.ones(1)
-    _ck(bad, abs(clipped_surrogate(1.5 * one, one, 0.2)[0] - 1.2) < tol, "clip caps the gain")
-    _ck(bad, abs(clipped_surrogate(0.5 * one, -one, 0.2)[0] + 0.8) < tol, "clip floors the ratio")
-    _ck(bad, abs(clipped_surrogate(1.5 * one, -one, 0.2)[0] + 1.5) < tol, "unclipped when worse")
+    _ck(bad, abs(clipped_surrogate(1.5 * one, one, 0.2)[0][0] - 1.2) < tol, "clip caps the gain")
+    _ck(bad, abs(clipped_surrogate(0.5 * one, -one, 0.2)[0][0] + 0.8) < tol, "clip floors the ratio")
+    _ck(bad, abs(clipped_surrogate(1.5 * one, -one, 0.2)[0][0] + 1.5) < tol, "unclipped when worse")
 
     # calibration quantile and the worst-tail mean
     _ck(bad, lower_quantile([0.5, 1.0, 1.5, 2.0], 0.25) == 0.5, "quarter quantile")

@@ -155,7 +155,7 @@ class TestCalibration:
         with pytest.raises(ValueError, match="at least 50"):
             calibrate_lower_bound(PointPredictor(cfg), [tr])
 
-    def test_explicit_delta_overrides_config(self):
+    def test_config_delta_sets_the_quantile(self):
         cfg = PredictorConfig(horizon_s=2, delta=0.25)
         traces = [_step_trace(reps=10)]
         res = calibrate_lower_bound(PointPredictor(PredictorConfig(horizon_s=2, delta=0.5)), traces)

@@ -381,7 +381,23 @@ class TestErrorPaths:
     @pytest.mark.parametrize("section, values", [
         ("cvar", {"window": 0}), ("cvar", {"alpha": 1.0}), ("ppo", {"epochs": 0}),
         ("bc", {"dagger_iterations": 0}),
-    ], ids=["cvar.window", "cvar.alpha", "ppo.epochs", "bc.dagger_iterations"])
+        # settings that load but make training climb its loss or learn nothing
+        ("ppo", {"max_grad_norm": -1.0}), ("ppo", {"max_grad_norm": 0.0}),
+        ("ppo", {"reward_clip": 0.0}), ("ppo", {"reward_clip": -10.0}),
+        ("ppo", {"gamma": 1.5}), ("ppo", {"gamma": -0.1}), ("ppo", {"gae_lambda": 1.01}),
+        ("ppo", {"clip_range": 0.0}), ("ppo", {"clip_range": 1.0}),
+        ("ppo", {"learning_rate": 0.0}), ("ppo", {"learning_rate": -3e-4}),
+        ("ppo", {"learning_rate": float("nan")}), ("ppo", {"learning_rate": float("inf")}),
+        ("ppo", {"value_coef": -0.5}), ("ppo", {"value_coef": float("inf")}),
+        ("bc", {"epochs": 0}), ("bc", {"learning_rate": -1e-3}), ("bc", {"learning_rate": 0.0}),
+        ("bc", {"learning_rate": float("inf")}),
+    ], ids=["cvar.window", "cvar.alpha", "ppo.epochs", "bc.dagger_iterations",
+            "ppo.max_grad_norm-negative", "ppo.max_grad_norm-zero", "ppo.reward_clip-zero",
+            "ppo.reward_clip-negative", "ppo.gamma-above-1", "ppo.gamma-negative", "ppo.gae_lambda-above-1",
+            "ppo.clip_range-zero", "ppo.clip_range-one", "ppo.learning_rate-zero",
+            "ppo.learning_rate-negative", "ppo.learning_rate-nan", "ppo.learning_rate-inf",
+            "ppo.value_coef-negative", "ppo.value_coef-inf", "bc.epochs", "bc.learning_rate-negative",
+            "bc.learning_rate-zero", "bc.learning_rate-inf"])
     def test_bad_training_config_stops_the_first_stage(self, tmp_path, capsys, section, values):
         cfg = _write_cfg(tmp_path / "exp.yaml", traces={"count": 4, "duration_s": 120}, **{section: values})
         assert main(["gen-traces", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2

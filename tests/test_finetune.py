@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from abrlab.net import Adam, FeatureConfig, NetConfig, forward, init_policy_net
+from abrlab.imitation import BcConfig
+from abrlab.net import Adam, FeatureConfig, NetConfig, backward, forward, init_policy_net, sample_action
 from abrlab.risk_ppo import (
     CvarConfig,
     EpisodeInfo,
@@ -208,25 +209,34 @@ class TestGae:
 class TestClippedSurrogate:
     def test_unit_ratio_passes_advantage_through(self):
         adv = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(clipped_surrogate(np.ones(3), adv, 0.2), adv)
+        surrogate, slope = clipped_surrogate(np.ones(3), adv, 0.2)
+        assert np.allclose(surrogate, adv)
+        assert np.array_equal(slope, adv)
 
     def test_positive_advantage_clips_above(self):
-        out = clipped_surrogate(np.array([1.5]), np.array([2.0]), 0.2)
-        assert out[0] == pytest.approx(1.2 * 2.0)
+        surrogate, slope = clipped_surrogate(np.array([1.5]), np.array([2.0]), 0.2)
+        assert surrogate[0] == pytest.approx(1.2 * 2.0)
+        assert slope[0] == 0.0  # the clipped branch is flat in r
 
     def test_negative_advantage_clips_below(self):
-        out = clipped_surrogate(np.array([0.5]), np.array([-1.0]), 0.2)
-        assert out[0] == pytest.approx(-0.8)
+        surrogate, slope = clipped_surrogate(np.array([0.5]), np.array([-1.0]), 0.2)
+        assert surrogate[0] == pytest.approx(-0.8)
+        assert slope[0] == 0.0
 
     def test_pessimistic_branch_for_negative_advantage_large_ratio(self):
-        out = clipped_surrogate(np.array([1.5]), np.array([-1.0]), 0.2)
-        assert out[0] == pytest.approx(-1.5)  # unclipped is worse, min keeps it
+        surrogate, slope = clipped_surrogate(np.array([1.5]), np.array([-1.0]), 0.2)
+        assert surrogate[0] == pytest.approx(-1.5)  # unclipped is worse, min keeps it
+        assert slope[0] == -1.5  # d(r*A)/d(log r) = r*A
 
     def test_never_exceeds_unclipped_for_positive_adv(self):
         rng = np.random.default_rng(5)
         ratio = rng.uniform(0.1, 3.0, 100)
         adv = np.abs(rng.normal(0, 1, 100))
-        assert np.all(clipped_surrogate(ratio, adv, 0.2) <= ratio * adv + 1e-12)
+        surrogate, slope = clipped_surrogate(ratio, adv, 0.2)
+        assert np.all(surrogate <= ratio * adv + 1e-12)
+        # the slope is r*A exactly where the min keeps the unclipped branch
+        assert np.array_equal(slope != 0.0, ratio * adv <= np.clip(ratio, 0.8, 1.2) * adv)
+        assert np.array_equal(slope[slope != 0.0], (ratio * adv)[slope != 0.0])
 
 
 class TestPpoUpdate:
@@ -450,7 +460,7 @@ def _env_major_reference_collect(net, traces, spec, w, ppo, fc, rng, history_len
     """Each stream stepped alone for its n_steps, one stream after another.
     With one stream this is the lockstep loop too."""
     from abrlab.imitation import PROB_FLOOR
-    from abrlab.net import featurize, sample_action
+    from abrlab.net import featurize
     from abrlab.sim import SessionEnv
 
     feats, actions, logprobs, rewards, values, dones = [], [], [], [], [], []
@@ -525,3 +535,202 @@ class TestRolloutCollector:
     def test_matches_the_per_stream_reference_loop_across_batches(self):
         # with one stream the lockstep and the env-major orders coincide
         self._check_against(_env_major_reference_collect, n_envs=1)
+
+
+# The minibatch step as it was written before it was trimmed to fewer numpy
+# calls: allocating forward, backward and Adam, and a gather per minibatch.
+# The trimmed step must do the same floating-point operations in the same
+# order, so params, moments, stats and checkpoints stay bit-identical.
+
+def _reference_forward(net, x, with_cache=False):
+    x = np.asarray(x, dtype=np.float64)
+    h1 = np.tanh(x @ net["w1"] + net["b1"])
+    h2 = np.tanh(h1 @ net["w2"] + net["b2"])
+    logits = h2 @ net["wp"] + net["bp"]
+    values = h2 @ net["wv"] + net["bv"][0]
+    z = logits - np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(z)
+    probs = e / np.sum(e, axis=-1, keepdims=True)
+    if with_cache:
+        return probs, values, (x, h1, h2, logits)
+    return probs, values
+
+
+def _reference_backward(net, cache, dlogits, dvalue):
+    from abrlab.net import PolicyNet
+
+    x, h1, h2, _ = cache
+    grad = np.zeros_like(net.params)
+    g = PolicyNet(net.cfg, grad)
+    g["wp"][:] = h2.T @ dlogits
+    g["bp"][:] = dlogits.sum(axis=0)
+    g["wv"][:] = h2.T @ dvalue
+    g["bv"][:] = dvalue.sum()
+    dh2 = dlogits @ net["wp"].T + dvalue[:, None] * net["wv"][None, :]
+    dz2 = dh2 * (1.0 - h2 * h2)
+    g["w2"][:] = h1.T @ dz2
+    g["b2"][:] = dz2.sum(axis=0)
+    dz1 = (dz2 @ net["w2"].T) * (1.0 - h1 * h1)
+    g["w1"][:] = x.T @ dz1
+    g["b1"][:] = dz1.sum(axis=0)
+    return grad
+
+
+class _ReferenceAdam:
+    def __init__(self, size, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, max_grad_norm=0.5):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.max_grad_norm = max_grad_norm
+        self.m, self.v, self.t = np.zeros(size), np.zeros(size), 0
+        self.clipped = 0  # steps whose gradient the norm cap scaled
+
+    def step(self, params, grad):
+        g = grad
+        if self.max_grad_norm is not None:
+            norm = float(np.linalg.norm(grad))
+            if norm > self.max_grad_norm and norm > 0.0:
+                g = grad * (self.max_grad_norm / norm)
+                self.clipped += 1
+        self.t += 1
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
+        m_hat = self.m / (1.0 - self.beta1 ** self.t)
+        v_hat = self.v / (1.0 - self.beta2 ** self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _reference_ppo_update(net, batch, cfg, opt, rng, update=1):
+    from abrlab.imitation import PROB_FLOOR
+
+    n = batch.size
+    stats = {"policy_loss": 0.0, "value_loss": 0.0, "clip_fraction": 0.0, "approx_kl": 0.0}
+    n_minibatches = 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for lo in range(0, n, cfg.minibatch_size):
+            idx = perm[lo : lo + cfg.minibatch_size]
+            m = idx.size
+            feats, acts = batch.features[idx], batch.actions[idx]
+            adv, rets, old_logp = batch.advantages[idx], batch.returns[idx], batch.logprobs[idx]
+            probs, values, cache = _reference_forward(net, feats, with_cache=True)
+            new_logp = np.log(np.maximum(probs[np.arange(m), acts], PROB_FLOOR))
+            ratio = np.exp(new_logp - old_logp)
+            clipped = np.clip(ratio, 1.0 - cfg.clip_range, 1.0 + cfg.clip_range)
+            unclipped_active = (ratio * adv) <= (clipped * adv)
+            coeff = np.where(unclipped_active, ratio * adv, 0.0) / m
+            dlogits = -coeff[:, None] * (np.eye(probs.shape[1])[acts] - probs)
+            dvalue = cfg.value_coef * 2.0 * (values - rets) / m
+            grads = _reference_backward(net, cache, dlogits, dvalue)
+            opt.step(net.params, grads)
+            stats["policy_loss"] += float(-np.mean(np.minimum(ratio * adv, clipped * adv)))
+            stats["value_loss"] += float(np.mean((values - rets) ** 2))
+            stats["clip_fraction"] += float(np.mean(np.abs(ratio - 1.0) > cfg.clip_range))
+            stats["approx_kl"] += float(np.mean(old_logp - new_logp))
+            n_minibatches += 1
+    for k in stats:
+        stats[k] /= max(n_minibatches, 1)
+    return stats
+
+
+def _reference_gae(batch, gamma, lam, normalize=True):
+    adv = np.zeros_like(batch.rewards)
+    for e, (lo, hi) in enumerate(batch.env_slices):
+        last_adv = 0.0
+        next_value = float(batch.bootstrap_values[e])
+        for t in range(hi - 1, lo - 1, -1):
+            nonterminal = 0.0 if batch.dones[t] else 1.0
+            delta = batch.rewards[t] + gamma * next_value * nonterminal - batch.values[t]
+            last_adv = delta + gamma * lam * nonterminal * last_adv
+            adv[t] = last_adv
+            next_value = float(batch.values[t])
+    returns = adv + batch.values
+    if normalize:
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    batch.advantages = adv
+    batch.returns = returns
+    return batch
+
+
+def _recording(factory, made):
+    def make(*args, **kwargs):
+        made.append(factory(*args, **kwargs))
+        return made[-1]
+    return make
+
+
+class TestTrimmedStepIsBitIdentical:
+    @pytest.mark.parametrize("max_grad_norm", [1e-3, 1e6], ids=["norm-cap-active", "norm-cap-inactive"])
+    def test_ppo_update_matches_the_allocating_reference(self, max_grad_norm):
+        # 50 rows in minibatches of 12: every epoch ends on a ragged minibatch of 2
+        net = init_policy_net(NetConfig(17, 6, hidden=(16, 16)), 7)
+        rng = np.random.default_rng(12)
+        n = 50
+        feats = rng.normal(0, 1, (n, 17))
+        probs, values = forward(net, feats)
+        actions = sample_action(probs, rng)
+        batch = RolloutBatch(
+            features=feats, actions=actions,
+            logprobs=np.log(probs[np.arange(n), actions]) + rng.normal(0, 0.3, n),
+            rewards=rng.normal(0, 1, n), values=values, dones=rng.random(n) < 0.1,
+            env_slices=[(0, 25), (25, 50)], bootstrap_values=np.array([0.3, -0.2]))
+        batch = gae_advantages(batch, 0.99, 0.95)
+        cfg = PpoConfig(epochs=2, minibatch_size=12, learning_rate=1e-2, max_grad_norm=max_grad_norm)
+        ref_net = net.copy()
+        opt = Adam(net.size, lr=cfg.learning_rate, max_grad_norm=max_grad_norm)
+        ref_opt = _ReferenceAdam(net.size, lr=cfg.learning_rate, max_grad_norm=max_grad_norm)
+        rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+        clip_fractions = []
+        for update in (1, 2, 3):
+            stats = ppo_update(net, batch, cfg, opt, rng, update)
+            assert stats == _reference_ppo_update(ref_net, batch, cfg, ref_opt, ref_rng, update)
+            clip_fractions.append(stats["clip_fraction"])
+        assert np.array_equal(net.params, ref_net.params)
+        assert np.array_equal(opt.m, ref_opt.m)
+        assert np.array_equal(opt.v, ref_opt.v)
+        assert opt.t == ref_opt.t == 3 * 2 * 5
+        assert (ref_opt.clipped == ref_opt.t) if max_grad_norm < 1.0 else (ref_opt.clipped == 0)
+        assert 0.0 < max(clip_fractions)  # both branches of the surrogate were taken
+
+    def test_pretrain_matches_the_allocating_reference(self, monkeypatch):
+        from abrlab import imitation
+        from abrlab import net as net_module
+
+        spec = VideoSpec(num_chunks=10)
+        cfg = BcConfig(dagger_iterations=2, rollout_steps=40, epochs=2, batch_size=16, expert_horizon=2)
+
+        def run(forward_fn, backward_fn, adam):
+            made = []
+            with monkeypatch.context() as patch:
+                patch.setattr(net_module, "forward", forward_fn)
+                patch.setattr(imitation, "forward", forward_fn)
+                patch.setattr(imitation, "backward", backward_fn)
+                patch.setattr(imitation, "Adam", _recording(adam, made))
+                tuned, report = imitation.pretrain(_train_traces(), spec, QoEWeights(), cfg, seed=3)
+            [opt] = made
+            assert opt.max_grad_norm is None
+            return tuned, report, opt
+
+        got, got_report, opt = run(forward, backward, Adam)
+        want, want_report, ref_opt = run(_reference_forward, _reference_backward, _ReferenceAdam)
+        assert np.array_equal(got.params, want.params)
+        assert np.array_equal(opt.m, ref_opt.m)
+        assert np.array_equal(opt.v, ref_opt.v)
+        assert got_report == want_report
+        assert len(got_report) == 2
+
+    def test_finetune_matches_the_allocating_reference(self, monkeypatch):
+        from abrlab import net as net_module
+        from abrlab import risk_ppo
+
+        spec = VideoSpec(num_chunks=10)
+        base = init_policy_net(NetConfig(17, 6, hidden=(16, 16)), 5)
+        tuned, curve = finetune(base.copy(), _train_traces(), spec, QoEWeights(), _small_ppo(),
+                                CvarConfig(window=64), seed=4)
+        monkeypatch.setattr(net_module, "forward", _reference_forward)
+        monkeypatch.setattr(risk_ppo, "forward", _reference_forward)
+        monkeypatch.setattr(risk_ppo, "ppo_update", _reference_ppo_update)
+        monkeypatch.setattr(risk_ppo, "gae_advantages", _reference_gae)
+        monkeypatch.setattr(risk_ppo, "Adam", _ReferenceAdam)
+        want, want_curve = finetune(base.copy(), _train_traces(), spec, QoEWeights(), _small_ppo(),
+                                    CvarConfig(window=64), seed=4)
+        assert np.array_equal(tuned.params, want.params)
+        assert curve == want_curve
