@@ -104,6 +104,8 @@ class EvalSection:
         for margin in self.margin_grid:  # by the auditor's own rule
             AuditConfig(capacity_margin=margin)
         tail_mean([0.0], self.tail_fraction)  # by the tail statistic's own rule
+        if not 0.0 <= self.severe_threshold_s < float("inf"):  # NaN too: no ratio would exceed it
+            raise ValueError(f"severe_threshold_s must be finite and non-negative, got {self.severe_threshold_s}")
 
 
 @dataclass(frozen=True)

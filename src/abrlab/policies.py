@@ -36,6 +36,12 @@ class BolaConfig:
     gamma_p: float = 1.0
     control_v: float | None = None  # None -> buffer_max / (ln(top/bottom) + gamma_p)
 
+    def __post_init__(self):
+        # V < 0 requests the top rung on every chunk; a NaN makes every objective NaN
+        for name, value in (("gamma_p", self.gamma_p), ("control_v", self.control_v)):
+            if value is not None and not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+
 
 def bola_decide(state: PlayerState, cfg: BolaConfig = BolaConfig()) -> int:
     """Buffer-occupancy control: argmax of (V*(utility + gamma_p) - buffer) / size.
@@ -124,24 +130,18 @@ def bulk_download_times(
 
     The curve is piecewise linear (one segment per 1 s sample), so each
     download is a searchsorted plus interpolation. Planning past the end of
-    the trace continues at the final sample's rate.
+    the trace continues at the final sample's rate. `starts` broadcasts
+    against `sizes`: one start per size, or the (n, 1) starts of n plans
+    against an (n, R) block of sizes, each start's bytes found once.
     """
     n = bps.size
     rel = starts - t0
-    k = np.floor(rel + 1e-12).astype(int)
-    inside = k < n
-    kc = np.minimum(np.maximum(k, 0), n - 1)
-    start_bytes = np.where(
-        inside,
-        cum_bytes[kc] + (rel - kc) * bps[kc] / 8.0,
-        cum_bytes[n] + (rel - n) * bps[-1] / 8.0,
-    )
-    target = start_bytes + sizes
-    j = np.searchsorted(cum_bytes, target, side="right") - 1
-    j = np.clip(j, 0, n - 1)
-    end_inside = t0 + j + (target - cum_bytes[j]) / (bps[j] / 8.0)
-    end = np.where(target > cum_bytes[n], t0 + n + (target - cum_bytes[n]) / (bps[-1] / 8.0), end_inside)
-    return end - starts
+    # Segment n runs past the end, at the rate take(mode="clip") reads: bps[n - 1].
+    # A download ends in the segment of the last inner knot its target reaches.
+    kc = np.minimum(np.maximum(np.floor(rel + 1e-12).astype(int), 0), n)
+    target = cum_bytes[kc] + (rel - kc) * bps.take(kc, mode="clip") / 8.0 + sizes
+    j = np.searchsorted(cum_bytes[1:n], target, side="right") + (target > cum_bytes[n])
+    return t0 + j + (target - cum_bytes[j]) / (bps.take(j, mode="clip") / 8.0) - starts
 
 
 def trace_cumulative_bytes(trace: ThroughputTrace) -> np.ndarray:
@@ -179,30 +179,39 @@ def _plan_labels(states: Sequence[PlayerState], spec: VideoSpec, w: QoEWeights, 
     """The first rung of each state's best-QoE plan, from one batched search.
 
     Each plan is rolled forward from its state; `download_times(plans,
-    sizes)` gives the seconds that plan i's next chunk of `sizes[i]` bytes
-    takes, the only part in which the two planners differ. The horizon is
-    clipped to the remaining chunks and ties break toward the lower first
-    rung. The ladder, chunk duration and buffer cap are the spec's.
+    sizes)` gives the (n, R) seconds that each of n plans' next chunk takes
+    at each of R rungs, of `sizes[i, a]` bytes, the only part in which the two
+    planners differ. The horizon is clipped to the remaining chunks and ties
+    break toward the lower first rung. The ladder, chunk duration and buffer
+    cap are the spec's.
 
     The search is an exact branch-and-bound (Land and Doig, 1960). A beam
     search gives each state an incumbent, the score of one real plan. A
     partial plan is dropped only when even a stall-free continuation
     (`_stall_free_qoe`) falls short of it, so the plans dropped hold no
     best plan, and the labels equal those of scoring all ladder^horizon
-    plans. The beam and the search are one level-by-level descent; they
-    differ only in which children a level keeps.
+    plans. The beam and the search are one level-by-level descent each,
+    over every horizon at once; they differ only in which children a level
+    keeps.
     """
     rates = np.asarray(spec.ladder.rungs_kbps, dtype=np.float64)
     num_rungs = rates.size
     horizons = np.array([min(horizon, s.remaining_chunks) for s in states], dtype=int)
     chunk = np.array([s.chunk_index for s in states], dtype=int)
+    labels = np.zeros(len(states), dtype=int)
+    # Longest horizon first (a stable sort), so the plans of the states whose
+    # horizon ends at a level are the last ones that level keeps.
+    longest_first = np.argsort(-horizons, kind="stable")
+    longest_first = longest_first[horizons[longest_first] > 0]
+    if not longest_first.size:
+        return labels
     roots = _Plans(np.array([s.buffer_s for s in states], dtype=np.float64), np.zeros(len(states)),
                    np.array([s.prev_rung for s in states], dtype=int),
                    np.array([s.wall_time_s for s in states], dtype=np.float64),
-                   np.zeros(len(states), dtype=int), np.arange(len(states)))
+                   np.zeros(len(states), dtype=int), np.arange(len(states))).take(longest_first)
     # bound[k, p]: the most QoE that k more chunks can add after rung p.
     stall_free = _stall_free_qoe(rates, w)
-    bound = np.zeros((int(horizons.max(initial=0)) + 1, num_rungs))
+    bound = np.zeros((int(horizons.max()) + 1, num_rungs))
     for k in range(1, bound.shape[0]):
         bound[k] = np.max(stall_free + bound[k - 1], axis=1)
     # A plan is pruned when q + bound[k] < incumbent - slack. Each of its
@@ -215,46 +224,45 @@ def _plan_labels(states: Sequence[PlayerState], spec: VideoSpec, w: QoEWeights, 
     # more than 10^5-fold, so a pruned plan cannot even tie the best one.
     scale = 1.0 + bound.shape[0] * np.abs(stall_free).max()
 
-    def expand(plans: _Plans, depth: int) -> _Plans:
-        """Every child of `plans`: parents in order, each parent's rungs ascending."""
-        parent = np.repeat(np.arange(plans.sid.size), num_rungs)
-        rung = np.tile(np.arange(num_rungs), plans.sid.size)
-        p = plans.take(parent)
-        d = download_times(p, spec.sizes[chunk[p.sid] + depth, rung])
-        q, b = _plan_step(p.qoe, p.buffer, p.prev, rung, d, rates, w, spec.chunk_duration_s, spec.buffer_max_s)
-        return _Plans(b, q, rung, p.clock + d, rung if depth == 0 else p.first, p.sid)
-
-    def descend(plans: _Plans, h: int, beam: bool) -> _Plans:
-        """Expand `plans`, one per state, level by level to depth h. A child's
-        score is its QoE plus the bound of its remaining chunks; each level
-        keeps each state's `num_rungs` best-scored children (beam), or every
-        child whose score reaches its state's floor."""
-        n = plans.sid.size
-        for depth in range(h):
-            kids = expand(plans, depth)
-            score = kids.qoe + bound[h - depth - 1][kids.prev]
+    def descend(plans: _Plans, beam: bool):
+        """Expand `plans`, one per state, level by level to each state's own
+        horizon. A child's score is its QoE plus the bound of its state's
+        remaining chunks; each level keeps each state's `num_rungs` best-scored
+        children (beam), or every child whose score reaches its state's floor,
+        and yields the kept children of the states whose horizon ends there."""
+        for depth in range(bound.shape[0] - 1):
+            # Every child, as (plans × rungs) blocks: a parent's rungs ascend along its row.
+            d = download_times(plans, spec.sizes[chunk[plans.sid] + depth])
+            q, b = _plan_step(plans.qoe[:, None], plans.buffer[:, None], plans.prev[:, None], np.arange(num_rungs),
+                              d, rates, w, spec.chunk_duration_s, spec.buffer_max_s)
+            left = horizons[plans.sid] - depth - 1
+            score = q + bound[left]
             if beam:
+                n = plans.sid.size // (num_rungs if depth else 1)
                 top = np.argsort(-score.reshape(n, -1), axis=1)[:, :num_rungs]
-                plans = kids.take((np.arange(n)[:, None] * (score.size // n) + top).ravel())
+                keep = (np.arange(n)[:, None] * (score.size // n) + top).ravel()
             else:
-                plans = kids.take(score >= floor[kids.sid])
-        return plans
+                keep = np.flatnonzero(score >= floor[plans.sid, None])
+            parent, rung = np.divmod(keep, num_rungs)
+            kids = _Plans(b.take(keep), q.take(keep), rung, plans.clock[parent] + d.take(keep),
+                          rung if depth == 0 else plans.first[parent], plans.sid[parent])
+            cut = np.count_nonzero(parent < np.count_nonzero(left))
+            yield kids.take(slice(cut, None))
+            plans = kids.take(slice(cut))
 
-    labels = np.zeros(len(states), dtype=int)
     floor = np.full(len(states), -np.inf)
-    for h in sorted(set(horizons.tolist()) - {0}):
-        group = roots.take(np.flatnonzero(horizons == h))
+    for leaves in descend(roots, beam=True):
         # Incumbents: a beam search as wide as the ladder, ranked by the bound.
         # Its leaves are scored like the search's, so each is a real plan's.
-        incumbent = descend(group, h, beam=True).qoe.reshape(group.sid.size, -1).max(axis=1)
-        floor[group.sid] = incumbent - 1e-9 * (np.abs(incumbent) + scale)
-        # The floors are fixed before the search, so whether a node survives
-        # does not depend on when it is expanded: a whole level at a time.
-        leaves = descend(group, h, beam=False)
-        # Each state's best leaf, the lowest first rung on a tie.
-        order = np.lexsort((leaves.first, -leaves.qoe, leaves.sid))
-        head = order[np.diff(leaves.sid[order], prepend=-1) != 0]
-        labels[leaves.sid[head]] = leaves.first[head]
+        incumbent = leaves.qoe.reshape(-1, num_rungs).max(axis=1)
+        floor[leaves.sid[::num_rungs]] = incumbent - 1e-9 * (np.abs(incumbent) + scale)
+    # The floors are fixed before the search, so whether a node survives
+    # does not depend on when it is expanded: a whole level at a time.
+    leaves = _Plans(*map(np.concatenate, zip(*descend(roots, beam=False))))
+    # Each state's best leaf, the lowest first rung on a tie.
+    order = np.lexsort((leaves.first, -leaves.qoe, leaves.sid))
+    head = order[np.diff(leaves.sid[order], prepend=-1) != 0]
+    labels[leaves.sid[head]] = leaves.first[head]
     return labels
 
 
@@ -274,7 +282,7 @@ def robust_mpc_labels(states: Sequence[PlayerState], spec: VideoSpec, w: QoEWeig
     est = est[known]
     labels = np.zeros(len(states), dtype=int)
     labels[known] = _plan_labels([states[i] for i in known], spec, w, cfg.horizon,
-                                 lambda plans, sizes: 8.0 * sizes / est[plans.sid])
+                                 lambda plans, sizes: 8.0 * sizes / est[plans.sid, None])
     return labels
 
 
@@ -293,7 +301,7 @@ def beam_expert_labels(
     cum = trace_cumulative_bytes(trace)
     bps, t0 = trace.throughput_bps, float(trace.times_s[0])
     return _plan_labels(states, spec, w, horizon,
-                        lambda plans, sizes: bulk_download_times(cum, bps, t0, plans.clock, sizes)).tolist()
+                        lambda plans, sizes: bulk_download_times(cum, bps, t0, plans.clock[:, None], sizes)).tolist()
 
 
 def beam_expert_decide(

@@ -391,13 +391,22 @@ class TestErrorPaths:
         ("ppo", {"value_coef": -0.5}), ("ppo", {"value_coef": float("inf")}),
         ("bc", {"epochs": 0}), ("bc", {"learning_rate": -1e-3}), ("bc", {"learning_rate": 0.0}),
         ("bc", {"learning_rate": float("inf")}),
+        # settings that load but make a baseline or a report column meaningless
+        ("bola", {"control_v": -5.0}), ("bola", {"control_v": 0.0}), ("bola", {"control_v": float("nan")}),
+        ("bola", {"control_v": float("inf")}), ("bola", {"gamma_p": 0.0}), ("bola", {"gamma_p": -1.0}),
+        ("bola", {"gamma_p": float("nan")}), ("bola", {"gamma_p": float("inf")}),
+        ("eval", {"severe_threshold_s": float("nan")}), ("eval", {"severe_threshold_s": float("inf")}),
+        ("eval", {"severe_threshold_s": -1.0}),
     ], ids=["cvar.window", "cvar.alpha", "ppo.epochs", "bc.dagger_iterations",
             "ppo.max_grad_norm-negative", "ppo.max_grad_norm-zero", "ppo.reward_clip-zero",
             "ppo.reward_clip-negative", "ppo.gamma-above-1", "ppo.gamma-negative", "ppo.gae_lambda-above-1",
             "ppo.clip_range-zero", "ppo.clip_range-one", "ppo.learning_rate-zero",
             "ppo.learning_rate-negative", "ppo.learning_rate-nan", "ppo.learning_rate-inf",
             "ppo.value_coef-negative", "ppo.value_coef-inf", "bc.epochs", "bc.learning_rate-negative",
-            "bc.learning_rate-zero", "bc.learning_rate-inf"])
+            "bc.learning_rate-zero", "bc.learning_rate-inf", "bola.control_v-negative", "bola.control_v-zero",
+            "bola.control_v-nan", "bola.control_v-inf", "bola.gamma_p-zero", "bola.gamma_p-negative",
+            "bola.gamma_p-nan", "bola.gamma_p-inf", "eval.severe_threshold_s-nan", "eval.severe_threshold_s-inf",
+            "eval.severe_threshold_s-negative"])
     def test_bad_training_config_stops_the_first_stage(self, tmp_path, capsys, section, values):
         cfg = _write_cfg(tmp_path / "exp.yaml", traces={"count": 4, "duration_s": 120}, **{section: values})
         assert main(["gen-traces", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2

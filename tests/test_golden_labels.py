@@ -106,6 +106,24 @@ def test_plain_mpc_labels(corpus):
     assert got == MPC_PLAIN_LABELS
 
 
+def test_shuffled_batches_per_trace_reproduce_the_golden_labels(corpus):
+    # One batch per trace, its states in a seeded random order, so each batch
+    # mixes clipped horizons out of order and one search covers them all.
+    batches = {}
+    for i in np.random.default_rng(2026).permutation(len(corpus)):
+        batches.setdefault(id(corpus[i][1]), []).append(int(i))
+    assert any(np.any(np.diff([min(5, corpus[i][0].remaining_chunks) for i in batch]) > 0)
+               for batch in batches.values())
+    expert, mpc = [""] * len(corpus), [""] * len(corpus)
+    for batch in batches.values():
+        states = [corpus[i][0] for i in batch]
+        for i, a, b in zip(batch, beam_expert_labels(states, corpus[batch[0]][1], SPEC, W, 5),
+                           robust_mpc_labels(states, SPEC, W, MpcConfig())):
+            expert[i], mpc[i] = str(a), str(b)
+    assert "".join(expert) == EXPERT_LABELS
+    assert "".join(mpc) == MPC_ROBUST_LABELS
+
+
 def test_greedy_batch_decisions_equal_the_one_state_decisions(corpus):
     net = init_policy_net(NetConfig(feature_dim(HIST_LEN, SPEC.ladder.num_rungs), SPEC.ladder.num_rungs), 0)
     net.params[:] = np.random.default_rng(11).normal(0.0, 0.5, net.size)

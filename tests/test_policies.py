@@ -445,6 +445,79 @@ class TestBulkDownloadTimes:
         assert np.array_equal(trace_cumulative_bytes(tr), [0.0, 1e6, 3e6, 4e6])
 
 
+def _reference_bulk_download_times(cum_bytes, bps, t0, starts, sizes):
+    """The integrator before it took blocks: one start per size, and the
+    segments past the end of the trace as separate branches."""
+    n = bps.size
+    rel = starts - t0
+    k = np.floor(rel + 1e-12).astype(int)
+    kc = np.minimum(np.maximum(k, 0), n - 1)
+    start_bytes = np.where(k < n, cum_bytes[kc] + (rel - kc) * bps[kc] / 8.0,
+                           cum_bytes[n] + (rel - n) * bps[-1] / 8.0)
+    target = start_bytes + sizes
+    j = np.clip(np.searchsorted(cum_bytes, target, side="right") - 1, 0, n - 1)
+    end_inside = t0 + j + (target - cum_bytes[j]) / (bps[j] / 8.0)
+    end = np.where(target > cum_bytes[n], t0 + n + (target - cum_bytes[n]) / (bps[-1] / 8.0), end_inside)
+    return end - starts
+
+
+class TestBulkDownloadTimesIsBitIdentical:
+    """Every download time equals, bit for bit, the reference's, whether the
+    starts come one per size or as (n, 1) plans against (n, R) sizes."""
+
+    T0, N = 10.0, 40
+
+    def _case(self, seed):
+        rng = np.random.default_rng(seed)
+        # Rates that are not round numbers, so a segment's bytes over its rate
+        # is often not exactly one second: a download that ends on a knot then
+        # ends at a different time in each of the two segments the knot joins.
+        bps = rng.uniform(2e5, 2e7, self.N)
+        cum = np.concatenate([[0.0], np.cumsum(bps / 8.0)])
+        starts = self.T0 + np.concatenate([
+            rng.uniform(-3.0, self.N + 5.0, 600),          # before, inside and past the trace
+            rng.uniform(self.N, self.N + 5.0, 1000),       # past the end, where the last rate holds
+            np.arange(-2.0, self.N + 3.0, 0.5),            # on and between the seconds
+            [self.N, self.N, self.N + 1e-13, self.N - 1e-13],  # at the end
+        ])
+        return rng, bps, cum, starts
+
+    def _sizes(self, rng, bps, cum, starts, shape):
+        """Random sizes, but half of the downloads that start inside the trace
+        end on a later knot (often the last), where rounding lets them end
+        exactly on it. Returns the sizes and the byte counts those end at."""
+        rel = np.broadcast_to(starts - self.T0, shape)
+        kc = np.floor(rel + 1e-12).astype(int).clip(0, self.N - 1)
+        start_bytes = cum[kc] + (rel - kc) * bps[kc] / 8.0
+        knot = np.maximum(rng.integers(0, self.N + 1, shape), kc + 1)
+        knot[rng.random(shape) < 0.3] = self.N
+        on_knot = (rel >= 0.0) & (rel < self.N) & (rng.random(shape) < 0.5)
+        sizes = np.where(on_knot, cum[knot] - start_bytes, rng.uniform(1e4, 4e7, shape))
+        return sizes, (start_bytes + sizes)[on_knot]
+
+    def _assert_covers_the_knots(self, cum, target):
+        assert np.isin(target, cum[1:self.N]).sum() >= 20
+        assert np.count_nonzero(target == cum[self.N]) >= 5
+
+    def test_one_start_per_size(self):
+        rng, bps, cum, starts = self._case(1)
+        sizes, target = self._sizes(rng, bps, cum, starts, starts.shape)
+        self._assert_covers_the_knots(cum, target)
+        got = bulk_download_times(cum, bps, self.T0, starts, sizes)
+        assert got.tobytes() == _reference_bulk_download_times(cum, bps, self.T0, starts, sizes).tobytes()
+
+    def test_plan_blocks(self):
+        rng, bps, cum, starts = self._case(2)
+        starts = starts[:, None]
+        sizes, target = self._sizes(rng, bps, cum, starts, (starts.size, 6))
+        self._assert_covers_the_knots(cum, target)
+        got = bulk_download_times(cum, bps, self.T0, starts, sizes)
+        want = _reference_bulk_download_times(cum, bps, self.T0, np.broadcast_to(starts, sizes.shape).ravel(),
+                                              sizes.ravel())
+        assert got.shape == sizes.shape
+        assert got.tobytes() == want.reshape(sizes.shape).tobytes()
+
+
 def _oracle_expert_first_rung(state, trace, spec, w, horizon):
     rates = spec.ladder.rungs_kbps
     best_q, best_plan = -math.inf, None
