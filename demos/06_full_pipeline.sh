@@ -19,10 +19,10 @@ mpc: {horizon: 4}
 YAML
 
 abrlab gen-traces --config "$CFG" --out "$RUN"
+abrlab calibrate  --config "$CFG" --out "$RUN"   # the bound needs traces only, no policy
 abrlab pretrain   --config "$CFG" --out "$RUN"
 abrlab finetune   --config "$CFG" --out "$RUN"
 abrlab finetune   --config "$CFG" --out "$RUN" --lambda 0   # ablation: no tail penalty
-abrlab calibrate  --config "$CFG" --out "$RUN"
 abrlab evaluate   --config "$CFG" --out "$RUN" --methods bc-only,full --handover-heavy
 abrlab evaluate   --config "$CFG" --out "$RUN" --margin-grid   # replaces the reports above
 abrlab report     --config "$CFG" --out "$RUN"

@@ -23,7 +23,7 @@ from .metrics import RiskReport, build_report
 from .sim import QoEWeights, SessionLog, VideoSpec, run_session, run_sessions, session_summary  # noqa: F401
 from .traces import ThroughputTrace
 
-# The predictors `calibrate` can score; "oracle" is the hindsight auditor.
+# The predictors `evaluate` can score; "oracle" is the hindsight auditor.
 PREDICTOR_CANDIDATES = ("point", "lower-bound", "oracle")
 
 

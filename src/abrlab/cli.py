@@ -1,4 +1,4 @@
-"""Command-line pipeline: traces -> split -> pretrain -> finetune -> calibrate -> evaluate -> report.
+"""Command-line pipeline: traces -> split -> calibrate -> pretrain -> finetune -> evaluate -> report.
 
 Every stage reads one YAML config plus a run directory and leaves its
 artifacts there:
@@ -8,16 +8,16 @@ artifacts there:
     <out>/split.json                      train / calibration / test ids
     <out>/checkpoints/bc_seed<K>.ckpt     cloned policy (+ _history.json)
     <out>/checkpoints/ppo_lambda<L>_seed<K>.ckpt  fine-tuned policy (+ _curve.json)
-    <out>/calibration.json                lower-bound scale and frozen policy
-    <out>/reports/predictors.csv          candidate predictors scored on calibration traces
+    <out>/calibration.json                lower-bound scale, fitted on the calibration traces alone
     <out>/reports/methods.{csv,json}      per-method risk table of the last `evaluate`
     <out>/reports/sessions_<method>.csv   per-session rows of each method it evaluated
+    <out>/reports/predictors.csv          candidate auditors of its last audited policy, on calibration traces
     <out>/reports/margin_grid.csv         its audited methods across eval.margin_grid, if asked
 
 Checkpoints and the calibration record carry a fingerprint of the config
 slice that produced them and a digest of the trace set they were built on;
-`finetune`, `calibrate` and `evaluate` refuse stale artifacts unless
---allow-stale is passed.
+`finetune` and `evaluate` refuse stale artifacts unless --allow-stale is
+passed. `calibrate` reads no policy, so it may run before `pretrain`.
 """
 
 from __future__ import annotations
@@ -135,9 +135,6 @@ class RunContext:
     def ckpt_path(self, kind: str) -> Path:
         return self.ckpt_dir / f"{self.stem(kind)}.ckpt"
 
-    def side_path(self, kind: str) -> Path:
-        return self.ckpt_dir / f"{self.stem(kind)}_{CHECKPOINTS[kind][2]}.json"
-
     def load_policy(self, kind: str):
         fingerprint, stage, _ = CHECKPOINTS[kind]
         expected = self.stamp(fingerprint(self.cfg))  # no split, no checkpoint to trust
@@ -152,7 +149,7 @@ class RunContext:
         self.ckpt_dir.mkdir(exist_ok=True)
         save_checkpoint(self.ckpt_path(kind), net, {"kind": kind, "seed": self.cfg.seed, **(meta or {}),
                                                     **self.stamp(CHECKPOINTS[kind][0](self.cfg))})
-        _write_json(self.side_path(kind), side)
+        _write_json(self.ckpt_dir / f"{self.stem(kind)}_{CHECKPOINTS[kind][2]}.json", side)
 
     def policy(self, kind: str):
         """The policy of a `config.METHODS` kind: a rule, a planner or a checkpoint's greedy net."""
@@ -199,8 +196,6 @@ class RunContext:
 
 def cmd_gen_traces(ctx: RunContext) -> int:
     cfg = ctx.cfg
-    if cfg.traces.count <= 0:
-        raise StageError("traces.count must be positive")
     ctx.trace_dir.mkdir(parents=True, exist_ok=True)
     ids = []
     for i in range(cfg.traces.count):
@@ -259,26 +254,15 @@ def cmd_finetune(ctx: RunContext) -> int:
 
 
 def cmd_calibrate(ctx: RunContext) -> int:
-    cfg = ctx.cfg
-    frozen = "ppo" if ctx.ckpt_path("ppo").exists() else "bc"
-    ctx.policy(frozen)  # a stale checkpoint is refused before anything is written
-    cal_traces = ctx.traces("calibration")
-    point = PointPredictor(cfg.predictor)
-    result = calibrate_lower_bound(point, cal_traces)
-    _write_json(ctx.out / "calibration.json", {**dataclasses.asdict(result),
-                                               **ctx.stamp(calibration_fingerprint(cfg)),
-                                               "frozen_policy": ctx.stem(frozen)})
-    # Each candidate is scored through the auditors `evaluate` builds from that file.
-    reports = [ctx.evaluate(name, frozen, cal_traces, name)[0] for name in cfg.predictor.candidates]
-    ctx.report_dir.mkdir(exist_ok=True)
-    write_report_csv(reports, ctx.report_dir / "predictors.csv")
-    line = (f"calibrated scale={result.scale:.4f} from {result.n_windows} windows "
-            f"(delta={result.delta}); scored {list(cfg.predictor.candidates)} under {ctx.stem(frozen)}")
+    point = PointPredictor(ctx.cfg.predictor)
+    result = calibrate_lower_bound(point, ctx.traces("calibration"))
+    _write_json(ctx.out / "calibration.json",
+                {**dataclasses.asdict(result), **ctx.stamp(calibration_fingerprint(ctx.cfg))})
+    line = f"calibrated scale={result.scale:.4f} from {result.n_windows} windows (delta={result.delta})"
     if ctx.split["test"]:
         miss, n = coverage_miss_rate(LowerBoundPredictor(point, result.scale), ctx.traces("test"))
         line += f"; test miss rate {miss:.3f} over {n} windows"
     print(line)
-    print(_format_table(reports))
     return 0
 
 
@@ -296,6 +280,7 @@ def cmd_evaluate(ctx: RunContext) -> int:
     cfg, args = ctx.cfg, ctx.args
     plan = {name: METHODS[name] for name in cfg.eval.methods}  # name -> (policy kind, auditor)
     audited = [name for name, (_, auditor) in plan.items() if auditor]
+    frozen = plan[audited[-1]][0] if audited else None  # the policy each candidate predictor audits
     if args.margin_grid and not audited:
         raise StageError("--margin-grid needs at least one audited method (bc+audit or full)")
     test_traces = ctx.traces("test")
@@ -305,6 +290,7 @@ def cmd_evaluate(ctx: RunContext) -> int:
         keep = set(handover_heavy_subset(test_traces, cfg.eval.handover_window_s,
                                          cfg.eval.handover_top_fraction))
         test_traces = [tr for tr in test_traces if tr.trace_id in keep]
+    cal_traces = ctx.traces("calibration") if frozen else []
     for kind, auditor in plan.values():
         ctx.policy(kind)  # a missing or stale checkpoint or calibration fails before any replay
         if auditor:
@@ -316,9 +302,12 @@ def cmd_evaluate(ctx: RunContext) -> int:
         grid.append(ctx.evaluate(f"{name}@no-audit", kind, test_traces)[0])
         grid += [ctx.evaluate(f"{name}@margin={_fmt_num(m)}", kind, test_traces, auditor, m)[0]
                  for m in cfg.eval.margin_grid]
+    predictors = [ctx.evaluate(name, frozen, cal_traces, name)[0]
+                  for name in (cfg.predictor.candidates if frozen else ())]
+    tables = {"predictors.csv": predictors, "margin_grid.csv": grid}  # each written if it has rows
     # What an earlier evaluation left and this one does not write would read as current.
     ctx.report_dir.mkdir(exist_ok=True)
-    for path in [*ctx.report_dir.glob("sessions_*.csv"), ctx.report_dir / "margin_grid.csv"]:
+    for path in [*ctx.report_dir.glob("sessions_*.csv"), *map(ctx.report_dir.joinpath, tables)]:
         path.unlink(missing_ok=True)
     reports = [report for report, _ in runs.values()]
     for name, (_, rows) in runs.items():
@@ -327,19 +316,23 @@ def cmd_evaluate(ctx: RunContext) -> int:
             csv.writer(fh).writerows([rows[0].keys(), *(row.values() for row in rows)])
     write_report_csv(reports, ctx.report_dir / "methods.csv")
     write_report_json(reports, ctx.report_dir / "methods.json")
-    if grid:
-        write_report_csv(grid, ctx.report_dir / "margin_grid.csv")
+    for name, table in tables.items():
+        if table:
+            write_report_csv(table, ctx.report_dir / name)
     suffix = " (handover-heavy subset)" if args.handover_heavy else ""
     print(f"evaluated {len(reports)} methods on {len(test_traces)} test traces{suffix}")
     print(_format_table(reports))
+    if predictors:
+        print(f"\ncandidate predictors auditing {ctx.stem(frozen)} on {len(cal_traces)} calibration traces\n"
+              + _format_table(predictors))
     return 0
 
 
 def cmd_report(ctx: RunContext) -> int:
-    path, grid = ctx.report_dir / "methods.csv", ctx.report_dir / "margin_grid.csv"
-    if not path.exists():
-        raise StageError(f"{path} not found; run `abrlab evaluate` first")
-    print("\n\n".join(_format_table(read_report_csv(p)) for p in (path, grid) if p.exists()))
+    paths = [ctx.report_dir / name for name in ("methods.csv", "predictors.csv", "margin_grid.csv")]
+    if not paths[0].exists():
+        raise StageError(f"{paths[0]} not found; run `abrlab evaluate` first")
+    print("\n\n".join(_format_table(read_report_csv(p)) for p in paths if p.exists()))
     return 0
 
 
@@ -360,7 +353,6 @@ FLAGS = {
     "--handover-heavy": {"action": "store_true", "help": "restrict to the most handover-dense test traces"},
     "--margin-grid": {"action": "store_true", "help": "also sweep audited methods over eval.margin_grid"},
 }
-AUDIT_FLAGS = ("--seed", "--lambda", "--margin", "--guard", "--allow-stale")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,10 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("pretrain", cmd_pretrain, "clone the planning expert into a neural policy", "--seed")
     add("finetune", cmd_finetune, "risk-shaped policy-gradient fine-tuning",
         "--seed", "--lambda", "--allow-stale")
-    add("calibrate", cmd_calibrate, "fit the lower-bound scale and score predictor candidates",
-        *AUDIT_FLAGS)
-    add("evaluate", cmd_evaluate, "score methods on the test split",
-        *AUDIT_FLAGS, "--methods", "--handover-heavy", "--margin-grid")
+    add("calibrate", cmd_calibrate, "fit the capacity lower bound on the calibration traces", "--seed")
+    add("evaluate", cmd_evaluate, "score methods on the test split and predictors on the calibration split",
+        "--seed", "--lambda", "--margin", "--guard", "--allow-stale", "--methods", "--handover-heavy",
+        "--margin-grid")
     add("report", cmd_report, "print the latest evaluation tables")
     return parser
 

@@ -23,7 +23,7 @@ from .net import FeatureConfig
 from .policies import BolaConfig, MpcConfig
 from .risk_ppo import CvarConfig, PpoConfig
 from .sim import BitrateLadder, QoEWeights, VideoSpec
-from .traces import SynthConfig, split_traces
+from .traces import SynthConfig, TraceValidationError, handover_heavy_subset, split_traces
 
 # method -> (the policy it replays: a rule, a planner, or the "bc" (cloned) or "ppo"
 # (fine-tuned) checkpoint; the predictor candidate that audits it: the calibrated bound, or None)
@@ -49,6 +49,9 @@ class TraceSection:
     split_test: float = 0.15
 
     def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"traces.count must be at least 1, got {self.count}")
+        self.synth_config(seed=0)  # by the synthesizer's own rules
         split_traces(["a", "b", "c"], self.split_fractions, 0)  # by the split's own rule
 
     def synth_config(self, seed) -> SynthConfig:
@@ -104,6 +107,10 @@ class EvalSection:
         for margin in self.margin_grid:  # by the auditor's own rule
             AuditConfig(capacity_margin=margin)
         tail_mean([0.0], self.tail_fraction)  # by the tail statistic's own rule
+        try:  # by the subset's own rules
+            handover_heavy_subset([], self.handover_window_s, self.handover_top_fraction)
+        except TraceValidationError as exc:
+            raise ValueError(f"eval.handover_window_s or eval.handover_top_fraction: {exc}") from None
         if not 0.0 <= self.severe_threshold_s < float("inf"):  # NaN too: no ratio would exceed it
             raise ValueError(f"severe_threshold_s must be finite and non-negative, got {self.severe_threshold_s}")
 
@@ -237,10 +244,9 @@ def ppo_fingerprint(cfg: ExperimentConfig) -> str:
 
 
 def calibration_fingerprint(cfg: ExperimentConfig) -> str:
-    raw = config_to_dict(cfg)
-    return _digest({
-        "upstream": traces_fingerprint(cfg), "predictor": raw["predictor"],
-    })
+    # what calibrate_lower_bound reads: the candidates `evaluate` scores leave the bound unchanged
+    return _digest({"upstream": traces_fingerprint(cfg), "horizon_s": cfg.predictor.horizon_s,
+                    "delta": cfg.predictor.delta})
 
 
 def with_overrides(cfg: ExperimentConfig, seed: int | None = None, out: str | None = None,

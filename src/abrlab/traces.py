@@ -165,6 +165,14 @@ class SynthConfig:
     ar1_sigma_mbps: float = 4.0
     seed: int | tuple[int, ...] = 0
 
+    def __post_init__(self):
+        if int(round(self.duration_s)) < 1:
+            raise TraceValidationError("duration_s must be at least 1 second")
+        if not self.regime_dwell_s > 0:
+            raise TraceValidationError("regime_dwell_s must be positive")
+        if not (0.0 < self.handover_dip_fraction <= 1.0):
+            raise TraceValidationError("handover_dip_fraction must lie in (0, 1]")
+
 
 def synthesize_trace(cfg: SynthConfig, trace_id: str | None = None) -> ThroughputTrace:
     """Generate one synthetic trace, bit-deterministic per cfg.seed.
@@ -175,13 +183,6 @@ def synthesize_trace(cfg: SynthConfig, trace_id: str | None = None) -> Throughpu
     Samples are clamped to at least 0.1 Mbit/s.
     """
     n = int(round(cfg.duration_s))
-    if n < 1:
-        raise TraceValidationError("duration_s must be at least 1 second")
-    if cfg.regime_dwell_s <= 0:
-        raise TraceValidationError("regime_dwell_s must be positive")
-    if not (0.0 < cfg.handover_dip_fraction <= 1.0):
-        raise TraceValidationError("handover_dip_fraction must lie in (0, 1]")
-
     rng = np.random.default_rng(cfg.seed)
     n_regimes = int(math.ceil(n / cfg.regime_dwell_s))
     means_mbps = np.exp(rng.normal(cfg.regime_mean_log_mbps, cfg.regime_sigma_log, n_regimes))
@@ -258,7 +259,7 @@ def handover_heavy_subset(
     count ties toward the trace with the largest single-second throughput
     drop inside the window.
     """
-    if window_s <= 0:
+    if not window_s > 0:  # NaN too: every window would be empty, so trace ids alone would rank
         raise TraceValidationError("window_s must be positive")
     if not (0.0 < top_fraction <= 1.0):
         raise TraceValidationError("top_fraction must lie in (0, 1]")

@@ -120,7 +120,7 @@ class TestPipelineArtifacts:
         payload = json.loads((pipeline / "calibration.json").read_text())
         assert payload["scale"] > 0.0
         assert payload["n_windows"] >= 50
-        assert payload["frozen_policy"] == "ppo_lambda20_seed5"
+        assert "frozen_policy" not in payload  # the bound is fitted without a policy
         cfg = load_config(pipeline / "config.yaml")
         assert payload["fingerprint"] == calibration_fingerprint(cfg)
         ranked = read_report_csv(pipeline / "reports" / "predictors.csv")
@@ -197,6 +197,7 @@ class TestPipelineArtifacts:
         # and each audited method's own row is its grid row at the configured
         # margin 0.9. Without bc-only and bc+rl, at another configured margin,
         # all eight grid rows are replayed instead; the bytes must not differ.
+        # Each run also scores the two predictor candidates on calibration traces.
         replays = []
 
         def counted(replay):
@@ -212,8 +213,8 @@ class TestPipelineArtifacts:
         net, meta = load_checkpoint(ppo)
         net.params[:] = np.random.default_rng(0).normal(0.0, 0.5, net.size)
         grids = []
-        for argv, n_replays in ((["--margin-grid"], 7 + 8 - 4),
-                                (["--methods", "bc+audit,full", "--margin", "0.85", "--margin-grid"], 2 + 8)):
+        for argv, n_replays in ((["--margin-grid"], 7 + 8 - 4 + 2),
+                                (["--methods", "bc+audit,full", "--margin", "0.85", "--margin-grid"], 2 + 8 + 2)):
             run = tmp_path / str(n_replays)
             shutil.copytree(pipeline, run)
             save_checkpoint(run / "checkpoints" / ppo.name, net, meta)
@@ -224,15 +225,18 @@ class TestPipelineArtifacts:
             grids.append((run / "reports" / "margin_grid.csv").read_bytes())
         assert grids[0] == grids[1]
         rows = {r.method: dataclasses.replace(r, method="") for r in
-                read_report_csv(tmp_path / str(7 + 8 - 4) / "reports" / "margin_grid.csv")}
+                read_report_csv(tmp_path / str(7 + 8 - 4 + 2) / "reports" / "margin_grid.csv")}
         assert rows["bc+audit@no-audit"] != rows["full@no-audit"]
 
     # The full grid and the grid at an unlisted margin are counted in the test above.
+    # `n_replays` counts the method and grid runs; `evaluate` also replays each
+    # predictor candidate once on the calibration traces, and `calibrate` replays nothing.
     @pytest.mark.parametrize("candidates, argv, n_replays", [
-        (list(PREDICTOR_CANDIDATES), ["calibrate"], 3),
+        (list(PREDICTOR_CANDIDATES), ["calibrate"], 0),
         # full's margin 0.9 run is its method row; its no-audit, 0.95 and 1 runs are new
         (None, ["evaluate", "--methods", "full", "--margin-grid"], 1 + 3),
         (None, ["evaluate", "--handover-heavy", "--margin-grid"], 7 + 8 - 4),
+        (list(PREDICTOR_CANDIDATES), ["evaluate", "--methods", "bc+audit"], 1),
     ])
     def test_each_distinct_run_is_replayed_once(self, pipeline, tmp_path, monkeypatch,
                                                 candidates, argv, n_replays):
@@ -250,15 +254,16 @@ class TestPipelineArtifacts:
         predictor = {**TINY["predictor"], "candidates": candidates or ["point", "lower-bound"]}
         cfg = _write_cfg(tmp_path / "exp.yaml", predictor=predictor)
         assert main([argv[0], "--config", str(cfg), "--out", str(run), *argv[1:]]) == 0
-        assert len(replays) == n_replays
+        assert len(replays) == n_replays + (len(predictor["candidates"]) if argv[0] == "evaluate" else 0)
 
-    def test_calibrate_scores_the_lower_bound_in_calibration_json(self, pipeline, tmp_path):
-        # The predictors.csv row must equal a direct replay of the frozen policy
-        # on the calibration traces, audited by the bound read back from disk.
+    def test_evaluate_scores_the_lower_bound_in_calibration_json(self, pipeline, tmp_path):
+        # The fixture's `evaluate` ends its plan with `full`, so the predictors.csv
+        # row must equal a direct replay of the fine-tuned checkpoint on the
+        # calibration traces, audited by the bound read back from disk.
         cfg = load_config(pipeline / "config.yaml")
         spec = cfg.video.video_spec()
         payload = json.loads((pipeline / "calibration.json").read_text())
-        net, _ = load_checkpoint(pipeline / "checkpoints" / f"{payload['frozen_policy']}.ckpt")
+        net, _ = load_checkpoint(pipeline / "checkpoints" / "ppo_lambda20_seed5.ckpt")
         lower = LowerBoundPredictor(PointPredictor(cfg.predictor), payload["scale"])
         traces = [ingest_trace(pipeline / "traces" / f"{tid}.csv")
                   for tid in json.loads((pipeline / "split.json").read_text())["calibration"]]
@@ -326,7 +331,7 @@ class TestPipelineArtifacts:
         reports = run / "reports"
         assert not (reports / "margin_grid.csv").exists()
         assert [p.name for p in reports.glob("sessions_*.csv")] == ["sessions_bc-only.csv"]
-        assert (reports / "predictors.csv").exists()
+        assert not (reports / "predictors.csv").exists()  # no audited method, no candidate scored
         capsys.readouterr()
         assert main(["report", "--out", str(run)]) == 0
         out = capsys.readouterr().out
@@ -397,6 +402,14 @@ class TestErrorPaths:
         ("bola", {"gamma_p": float("nan")}), ("bola", {"gamma_p": float("inf")}),
         ("eval", {"severe_threshold_s": float("nan")}), ("eval", {"severe_threshold_s": float("inf")}),
         ("eval", {"severe_threshold_s": -1.0}),
+        # a handover subset of no window picks the first traces by id, not the handover-heavy ones
+        ("eval", {"handover_window_s": float("nan")}), ("eval", {"handover_window_s": 0.0}),
+        ("eval", {"handover_top_fraction": 0.0}), ("eval", {"handover_top_fraction": 1.5}),
+        ("eval", {"handover_top_fraction": float("nan")}),
+        # trace settings that gen-traces cannot synthesize
+        ("traces", {"duration_s": 0}), ("traces", {"regime_dwell_s": 0.0}),
+        ("traces", {"regime_dwell_s": float("nan")}), ("traces", {"handover_dip_fraction": 0.0}),
+        ("traces", {"handover_dip_fraction": 1.5}),
     ], ids=["cvar.window", "cvar.alpha", "ppo.epochs", "bc.dagger_iterations",
             "ppo.max_grad_norm-negative", "ppo.max_grad_norm-zero", "ppo.reward_clip-zero",
             "ppo.reward_clip-negative", "ppo.gamma-above-1", "ppo.gamma-negative", "ppo.gae_lambda-above-1",
@@ -406,9 +419,15 @@ class TestErrorPaths:
             "bc.learning_rate-zero", "bc.learning_rate-inf", "bola.control_v-negative", "bola.control_v-zero",
             "bola.control_v-nan", "bola.control_v-inf", "bola.gamma_p-zero", "bola.gamma_p-negative",
             "bola.gamma_p-nan", "bola.gamma_p-inf", "eval.severe_threshold_s-nan", "eval.severe_threshold_s-inf",
-            "eval.severe_threshold_s-negative"])
+            "eval.severe_threshold_s-negative", "eval.handover_window_s-nan", "eval.handover_window_s-zero",
+            "eval.handover_top_fraction-zero", "eval.handover_top_fraction-above-1",
+            "eval.handover_top_fraction-nan", "traces.duration_s-zero", "traces.regime_dwell_s-zero",
+            "traces.regime_dwell_s-nan", "traces.handover_dip_fraction-zero",
+            "traces.handover_dip_fraction-above-1"])
     def test_bad_training_config_stops_the_first_stage(self, tmp_path, capsys, section, values):
-        cfg = _write_cfg(tmp_path / "exp.yaml", traces={"count": 4, "duration_s": 120}, **{section: values})
+        sections = {"traces": {"count": 4, "duration_s": 120}}
+        sections[section] = {**sections.get(section, {}), **values}
+        cfg = _write_cfg(tmp_path / "exp.yaml", **sections)
         assert main(["gen-traces", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert next(iter(values)) in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -513,8 +532,8 @@ class TestCalibrateSettings:
                                  "split_calibration": 0.5, "split_test": 0.25},
                          eval={"tail_fraction": 0.5, "severe_threshold_s": 2.5})
         run = tmp_path / "run"
-        for stage in ("gen-traces", "pretrain", "calibrate"):
-            assert main([stage, "--config", str(cfg), "--out", str(run)]) == 0
+        for stage, *argv in (["gen-traces"], ["calibrate"], ["pretrain"], ["evaluate", "--methods", "bc+audit"]):
+            assert main([stage, "--config", str(cfg), "--out", str(run), *argv]) == 0
         rows = read_report_csv(run / "reports" / "predictors.csv")
         assert rows
         for row in rows:
@@ -524,18 +543,50 @@ class TestCalibrateSettings:
 
 
 class TestPredictorCandidates:
-    def test_calibrate_scores_every_candidate_by_its_name(self, pipeline, tmp_path, capsys):
+    def test_evaluate_scores_every_candidate_by_its_name(self, pipeline, tmp_path, capsys):
         run = tmp_path / "run"
         shutil.copytree(pipeline, run)
         cfg = _write_cfg(tmp_path / "exp.yaml",
                          predictor={**TINY["predictor"], "candidates": list(PREDICTOR_CANDIDATES)})
-        assert main(["calibrate", "--config", str(cfg), "--out", str(run)]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--out", str(run), "--methods", "full"]) == 0
         rows = read_report_csv(run / "reports" / "predictors.csv")
         assert [r.method for r in rows] == list(PREDICTOR_CANDIDATES)
         oracle = rows[PREDICTOR_CANDIDATES.index("oracle")]
         assert oracle.v_dec == 0.0
         assert "oracle" in capsys.readouterr().out
 
+
+
+class TestPolicyFreeCalibrate:
+    """The bound is fitted on the calibration traces alone, so `calibrate` may run before training."""
+
+    def test_calibrate_runs_on_traces_alone(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path / "exp.yaml")
+        run = tmp_path / "run"
+        assert main(["gen-traces", "--config", str(cfg), "--out", str(run)]) == 0
+        assert main(["calibrate", "--config", str(cfg), "--out", str(run)]) == 0
+        assert "calibrated scale=" in capsys.readouterr().out
+        assert json.loads((run / "calibration.json").read_text())["scale"] > 0.0
+        assert not (run / "reports").exists()
+        assert not (run / "checkpoints").exists()
+
+    def test_calibrating_first_gives_the_same_reports(self, pipeline, tmp_path):
+        # The fixture ran gen-traces, pretrain, finetune, calibrate, evaluate.
+        run = tmp_path / "run"
+        for stage, *argv in (["gen-traces"], ["calibrate"], ["pretrain"], ["finetune"],
+                             ["evaluate", "--margin-grid"]):
+            assert main([stage, "--config", str(pipeline.parent / "exp.yaml"), "--out", str(run), *argv]) == 0
+        for name in ("methods.csv", "margin_grid.csv", "predictors.csv"):
+            assert (run / "reports" / name).read_bytes() == (pipeline / "reports" / name).read_bytes(), name
+
+    def test_new_candidates_leave_the_bound_fresh(self, pipeline, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline, run)
+        cfg = _write_cfg(tmp_path / "exp.yaml", predictor={**TINY["predictor"], "candidates": ["oracle"]})
+        assert main(["evaluate", "--config", str(cfg), "--out", str(run), "--methods", "full"]) == 0
+        assert "stale" not in capsys.readouterr().err
+        assert [r.method for r in read_report_csv(run / "reports" / "predictors.csv")] == ["oracle"]
+        assert (run / "calibration.json").read_bytes() == (pipeline / "calibration.json").read_bytes()
 
 STALENESS = {
     "traces": {"count": 6, "duration_s": 180},
@@ -598,25 +649,28 @@ class TestStaleness:
         capsys.readouterr()
         bigger = _write_cfg(tmp_path / "bigger.yaml",
                             **{**STALENESS, "ppo": {**STALENESS["ppo"], "total_steps": 256}})
-        for stage, *argv in (["calibrate"], ["evaluate", "--methods", "bc+rl"]):
-            assert main([stage, "--config", str(bigger), "--out", str(run), *argv]) == 2
-            err = capsys.readouterr().err
-            assert "ppo_lambda20_seed5.ckpt is stale (config fingerprint" in err
-            assert "trace set" not in err and "--allow-stale" in err
-        assert not (run / "calibration.json").exists()
+        assert main(["evaluate", "--config", str(bigger), "--out", str(run), "--methods", "bc+rl"]) == 2
+        err = capsys.readouterr().err
+        assert "ppo_lambda20_seed5.ckpt is stale (config fingerprint" in err
+        assert "trace set" not in err and "--allow-stale" in err
 
         assert main(["evaluate", "--config", str(bigger), "--out", str(run),
                      "--methods", "bc+rl", "--allow-stale"]) == 0
         assert "warning: ppo_lambda20_seed5.ckpt is stale (config fingerprint" in capsys.readouterr().err
 
-    def test_drifted_bc_makes_calibrate_refuse_its_frozen_policy(self, trained, capsys):
+    def test_drifted_bc_stops_evaluate_but_not_calibrate(self, trained, capsys):
+        # The bound depends on no policy: a stale `bc` checkpoint is refused by the
+        # audited method that replays it, not by the stage that fits the bound.
         tmp_path, cfg, run = trained
         drifted = _write_cfg(tmp_path / "drifted.yaml",
                              **{**STALENESS, "bc": {**STALENESS["bc"], "epochs": 3}})
-        assert main(["calibrate", "--config", str(drifted), "--out", str(run)]) == 2
+        assert main(["calibrate", "--config", str(drifted), "--out", str(run)]) == 0
+        assert (run / "calibration.json").exists()
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(drifted), "--out", str(run), "--methods", "bc+audit"]) == 2
         err = capsys.readouterr().err
         assert "bc_seed5.ckpt is stale" in err and "--allow-stale" in err
-        assert not (run / "calibration.json").exists()
+        assert not (run / "reports").exists()
 
     def test_new_trace_set_makes_checkpoint_stale(self, trained, capsys):
         tmp_path, cfg, run = trained

@@ -227,7 +227,7 @@ class TestValidation:
         ("audit", "enabled", False),
         # the point forecast averages the last horizon_s samples; no second window
         ("predictor", "input_len_s", 75),
-        # calibrate scores the candidates and selects none, so there is no QoE band
+        # evaluate scores the candidates and selects none, so there is no QoE band
         ("eval", "qoe_tolerance", 0.03),
     ], ids=["audit.enabled", "predictor.input_len_s", "eval.qoe_tolerance"])
     def test_removed_key_rejected(self, section, key, value):
@@ -414,6 +414,9 @@ class TestFingerprints:
         assert calibration_fingerprint(_tweak(predictor={"horizon_s": 5})) != base
         assert calibration_fingerprint(_tweak(traces={"count": 99})) != base
         assert calibration_fingerprint(_tweak(seed=8)) != base
+        assert calibration_fingerprint(_tweak(predictor={"delta": 0.2})) != base
+        # the bound is fitted without the candidates that `evaluate` scores
+        assert calibration_fingerprint(_tweak(predictor={"candidates": ("oracle",)})) == base
         # the calibration stage never sees the policy stack
         assert calibration_fingerprint(_tweak(bc={"epochs": 9})) == base
         assert calibration_fingerprint(_tweak(ppo={"gamma": 0.5})) == base

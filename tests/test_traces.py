@@ -341,6 +341,8 @@ class TestSynthesis:
             synthesize_trace(SynthConfig(regime_dwell_s=0.0))
         with pytest.raises(TraceValidationError):
             synthesize_trace(SynthConfig(handover_dip_fraction=0.0))
+        with pytest.raises(TraceValidationError):
+            SynthConfig(regime_dwell_s=float("nan"))  # refused when built, before any trace
 
 
 class TestSplit:
@@ -444,3 +446,5 @@ class TestHandoverHeavySubset:
             handover_heavy_subset([tr], 0.0, 0.3)
         with pytest.raises(TraceValidationError):
             handover_heavy_subset([tr], 300.0, 0.0)
+        with pytest.raises(TraceValidationError):  # no window, so the first ids by tie-break
+            handover_heavy_subset([tr], float("nan"), 0.3)
