@@ -104,9 +104,15 @@ class EvalSection:
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose from {ALL_METHODS}")
-        for margin in self.margin_grid:  # by the auditor's own rule
-            AuditConfig(capacity_margin=margin)
-        tail_mean([0.0], self.tail_fraction)  # by the tail statistic's own rule
+        try:  # by the auditor's own rule
+            for margin in self.margin_grid:
+                AuditConfig(capacity_margin=margin)
+        except ValueError as exc:
+            raise ValueError(f"eval.margin_grid: {exc}") from None
+        try:  # by the tail statistic's own rule
+            tail_mean([0.0], self.tail_fraction)
+        except ValueError as exc:
+            raise ValueError(f"eval.tail_fraction: {exc}") from None
         try:  # by the subset's own rules
             handover_heavy_subset([], self.handover_window_s, self.handover_top_fraction)
         except TraceValidationError as exc:

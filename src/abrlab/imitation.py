@@ -103,8 +103,8 @@ def imitation_loss(net: PolicyNet, features: np.ndarray, labels: np.ndarray,
     return loss, grads
 
 
-def expert_agreement(net: PolicyNet, features: np.ndarray, labels: np.ndarray) -> float:
-    probs, _ = forward(net, features)
+def expert_agreement(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose greedy pick under `probs` is the expert's rung."""
     picks = np.argmax(probs, axis=1)
     return float(np.mean(picks == np.asarray(labels)))
 
@@ -150,19 +150,22 @@ def dagger_round(
     n = all_labels.size
     clamp_counter: dict = {}
     epoch_losses = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
             _, grads = imitation_loss(net, all_feats[idx], all_labels[idx], clamp_counter)
             opt.step(net.params, grads)
         # the loss over the whole dataset is a forward pass only; no gradient is needed
-        epoch_losses.append(_cross_entropy(forward(net, all_feats)[0], all_labels)[0])
+        probs = forward(net, all_feats)[0]
+        epoch_losses.append(_cross_entropy(probs, all_labels)[0])
+        if epoch < cfg.epochs - 1:
+            del probs  # held through the next epoch's steps, it raised peak RSS by about 1 MB
     return {
         "dataset_size": n,
         "loss": epoch_losses[-1],
         "epoch_losses": epoch_losses,
-        "agreement": expert_agreement(net, all_feats, all_labels),
+        "agreement": expert_agreement(probs, all_labels),  # the last epoch's pass, at the final parameters
         "clamped_logs": clamp_counter.get("clamped", 0),
     }
 

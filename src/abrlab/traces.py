@@ -50,7 +50,7 @@ class ThroughputTrace:
             raise TraceValidationError(f"trace {self.trace_id!r}: empty")
         if t.size != v.size:
             raise TraceValidationError(f"trace {self.trace_id!r}: {t.size} timestamps vs {v.size} samples")
-        if t.size > 1 and not np.allclose(np.diff(t), 1.0, rtol=0.0, atol=1e-9):
+        if t.size > 1 and not (np.abs(np.diff(t) - 1.0) <= 1e-9).all():
             raise TraceValidationError(f"trace {self.trace_id!r}: samples must be spaced 1.0 s apart")
         if np.any(v <= 0.0):
             raise TraceValidationError(f"trace {self.trace_id!r}: non-positive throughput sample")
@@ -76,6 +76,57 @@ def _resample_hold(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, n
     return grid, values[idx]
 
 
+def _parse_lines(name: str, lines: list[str]) -> tuple[list[float], list[float]]:
+    """The line-by-line reader: it words every parse error, and reads what the bulk parse refuses."""
+    times: list[float] = []
+    values: list[float] = []
+    # float() strips the whitespace around a field.
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split(",")
+        if len(parts) != 2:
+            if not line.strip():
+                continue
+            raise TraceParseError(f"{name}: line {lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            t, v = float(parts[0]), float(parts[1])
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            raise TraceParseError(f"{name}: line {lineno}: non-numeric field in {line.strip()!r}") from None
+        times.append(t)
+        values.append(v)
+    return times, values
+
+
+def _is_header(line: str) -> bool:
+    parts = line.split(",")
+    if len(parts) != 2:
+        return False
+    try:
+        float(parts[0]), float(parts[1])
+    except ValueError:
+        return True
+    return False
+
+
+def _parse_columns(name: str, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    # One C parse of the lines after the header. Where it refuses a file or
+    # reads other than 2 columns (a malformed row, a whitespace-only line,
+    # `1_0`, non-ASCII digits), the line loop reads it again and words any
+    # error. comments=None: the loop refuses `1,2 # c`.
+    body = lines[1:] if _is_header(lines[0]) else lines
+    if "".join(body).strip():  # loadtxt warns on a file without rows
+        try:
+            rows = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if rows.shape[1] == 2:
+                return rows[:, 0], rows[:, 1]
+    times, values = _parse_lines(name, lines)
+    return np.asarray(times, dtype=np.float64), np.asarray(values, dtype=np.float64)
+
+
 def ingest_trace(path: str | Path) -> ThroughputTrace:
     """Load one `time_s,throughput_bps` CSV (header optional) as a trace.
 
@@ -84,29 +135,12 @@ def ingest_trace(path: str | Path) -> ThroughputTrace:
     supplies handover times.
     """
     path = Path(path)
-    times: list[float] = []
-    values: list[float] = []
     # read_text turns CR and CRLF into LF, so splitting on LF numbers lines as
     # iterating the file would (splitlines would also split on form feeds).
-    # float() strips the whitespace around a field; utf-8-sig drops a byte-order mark.
-    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").split("\n"), start=1):
-        parts = line.split(",")
-        if len(parts) != 2:
-            if not line.strip():
-                continue
-            raise TraceParseError(f"{path.name}: line {lineno}: expected 2 fields, got {len(parts)}")
-        try:
-            t, v = float(parts[0]), float(parts[1])
-        except ValueError:
-            if lineno == 1:
-                continue  # header row
-            raise TraceParseError(f"{path.name}: line {lineno}: non-numeric field in {line.strip()!r}") from None
-        times.append(t)
-        values.append(v)
-    if not times:
+    # utf-8-sig drops a byte-order mark.
+    t_arr, v_arr = _parse_columns(path.name, path.read_text(encoding="utf-8-sig").split("\n"))
+    if not t_arr.size:
         raise TraceValidationError(f"{path.name}: empty trace")
-    t_arr = np.asarray(times, dtype=np.float64)
-    v_arr = np.asarray(values, dtype=np.float64)
     # float() parses nan and inf; refuse them before resampling can drop one.
     if not (np.isfinite(t_arr).all() and np.isfinite(v_arr).all()):
         raise TraceValidationError(f"{path.name}: non-finite time or throughput sample")
@@ -114,7 +148,7 @@ def ingest_trace(path: str | Path) -> ThroughputTrace:
         raise TraceValidationError(f"{path.name}: timestamps must be strictly increasing")
     if np.any(v_arr <= 0):
         raise TraceValidationError(f"{path.name}: non-positive throughput sample")
-    if t_arr.size > 1 and not np.allclose(np.diff(t_arr), 1.0, rtol=0.0, atol=1e-9):
+    if t_arr.size > 1 and not (np.abs(np.diff(t_arr) - 1.0) <= 1e-9).all():
         t_arr, v_arr = _resample_hold(t_arr, v_arr)
 
     handovers = np.zeros(0)
@@ -139,13 +173,12 @@ def write_trace(trace: ThroughputTrace, directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     out = directory / f"{trace.trace_id}.csv"
-    lines = ["time_s,throughput_bps"]
-    for t, v in zip(trace.times_s, trace.throughput_bps):
-        lines.append(f"{format(float(t), '.17g')},{float(v)!r}")  # round-trips; integers stay bare
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # round-trips; integers stay bare
+    rows = [f"{format(t, '.17g')},{v!r}" for t, v in zip(trace.times_s.tolist(), trace.throughput_bps.tolist())]
+    out.write_text("time_s,throughput_bps\n" + "\n".join(rows) + "\n", encoding="utf-8")
     if trace.handover_times_s.size:
         sidecar = directory / f"{trace.trace_id}{HANDOVER_SIDECAR_SUFFIX}"
-        sidecar.write_text("\n".join(f"{float(h)!r}" for h in trace.handover_times_s) + "\n", encoding="utf-8")
+        sidecar.write_text("\n".join(map(repr, trace.handover_times_s.tolist())) + "\n", encoding="utf-8")
     return out
 
 
@@ -194,19 +227,22 @@ def synthesize_trace(cfg: SynthConfig, trace_id: str | None = None) -> Throughpu
 
     handovers = np.arange(n_regimes, dtype=np.float64) * cfg.regime_dwell_s
     handovers = handovers[handovers < n]
-    dip = np.ones(n)
-    for h in handovers:
-        dip[(t >= h) & (t < h + cfg.handover_dip_duration_s)] = cfg.handover_dip_fraction
+    # The latest handover at or before a second ends the latest dip, so it
+    # alone decides whether that second is dipped (handovers[0] is 0).
+    latest = handovers[np.searchsorted(handovers, t, side="right") - 1]
+    dip = np.where(t < latest + cfg.handover_dip_duration_s, cfg.handover_dip_fraction, 1.0)
 
-    noise = np.zeros(n)
-    state = 0.0
-    for i in range(n):
-        if i > 0 and regime_of[i] != regime_of[i - 1]:
+    # AR(1) on Python floats: the same multiply-add per second, in the same order
+    noise = []
+    state, previous = 0.0, 0
+    for regime, innovation in zip(regime_of.tolist(), innovations.tolist()):
+        if regime != previous:
             state = 0.0  # noise restarts with the regime
-        state = cfg.ar1_rho * state + cfg.ar1_sigma_mbps * innovations[i]
-        noise[i] = state
+        state = cfg.ar1_rho * state + cfg.ar1_sigma_mbps * innovation
+        noise.append(state)
+        previous = regime
 
-    mbps = np.maximum(base * dip + noise, MIN_SYNTH_THROUGHPUT_BPS / 1e6)
+    mbps = np.maximum(base * dip + np.array(noise), MIN_SYNTH_THROUGHPUT_BPS / 1e6)
     if trace_id is None:
         trace_id = f"synth-{cfg.seed}"
     return ThroughputTrace(trace_id, t, mbps * 1e6, handovers)

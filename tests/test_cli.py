@@ -36,6 +36,10 @@ TINY = {
 }
 
 
+# sha256 of the traces/ directory that gen-traces writes for 5 traces of 120 s at seed 7
+GEN_TRACES_SEED7_SHA256 = "4b273813c5031764bfe9e5f748f6bb8c2ca3cc53c731d398e43746bfd9bd15d0"
+
+
 def _write_cfg(path: Path, **extra) -> Path:
     data = {**TINY, **extra}
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
@@ -365,6 +369,12 @@ class TestDeterminism:
         assert _tree_digest(run_a / "traces") == _tree_digest(run_b / "traces")
         assert (run_a / "split.json").read_bytes() == (run_b / "split.json").read_bytes()
 
+    def test_gen_traces_bytes_are_pinned(self, tmp_path):
+        # Any byte change in synthesis or in the written CSV and sidecar files shows here.
+        cfg = _write_cfg(tmp_path / "exp.yaml", seed=7, traces={"count": 5, "duration_s": 120})
+        assert main(["gen-traces", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert _tree_digest(tmp_path / "run" / "traces") == GEN_TRACES_SEED7_SHA256
+
     def test_seed_override_changes_traces_and_split(self, tmp_path):
         cfg = _write_cfg(tmp_path / "exp.yaml", traces={"count": 4, "duration_s": 120})
         run_a, run_b = tmp_path / "a", tmp_path / "b"
@@ -406,6 +416,9 @@ class TestErrorPaths:
         ("eval", {"handover_window_s": float("nan")}), ("eval", {"handover_window_s": 0.0}),
         ("eval", {"handover_top_fraction": 0.0}), ("eval", {"handover_top_fraction": 1.5}),
         ("eval", {"handover_top_fraction": float("nan")}),
+        # a margin or tail fraction the auditor or the tail statistic refuses, named by its own key
+        ("eval", {"margin_grid": [0.0]}), ("eval", {"margin_grid": [float("nan")]}),
+        ("eval", {"tail_fraction": 0.0}),
         # trace settings that gen-traces cannot synthesize
         ("traces", {"duration_s": 0}), ("traces", {"regime_dwell_s": 0.0}),
         ("traces", {"regime_dwell_s": float("nan")}), ("traces", {"handover_dip_fraction": 0.0}),
@@ -421,7 +434,8 @@ class TestErrorPaths:
             "bola.gamma_p-nan", "bola.gamma_p-inf", "eval.severe_threshold_s-nan", "eval.severe_threshold_s-inf",
             "eval.severe_threshold_s-negative", "eval.handover_window_s-nan", "eval.handover_window_s-zero",
             "eval.handover_top_fraction-zero", "eval.handover_top_fraction-above-1",
-            "eval.handover_top_fraction-nan", "traces.duration_s-zero", "traces.regime_dwell_s-zero",
+            "eval.handover_top_fraction-nan", "eval.margin_grid-zero", "eval.margin_grid-nan",
+            "eval.tail_fraction-zero", "traces.duration_s-zero", "traces.regime_dwell_s-zero",
             "traces.regime_dwell_s-nan", "traces.handover_dip_fraction-zero",
             "traces.handover_dip_fraction-above-1"])
     def test_bad_training_config_stops_the_first_stage(self, tmp_path, capsys, section, values):

@@ -83,12 +83,12 @@ class TestExpertAgreement:
         net = _tiny_net()
         net["bp"][3] = 5.0  # greedy pick is always rung 3
         y = np.array([3, 3, 0, 3])
-        assert expert_agreement(net, np.zeros((4, 17)), y) == pytest.approx(0.75)
+        assert expert_agreement(forward(net, np.zeros((4, 17)))[0], y) == pytest.approx(0.75)
 
     def test_uniform_net_ties_to_rung_zero(self):
         net = _tiny_net()
         y = np.array([0, 0, 1, 2])
-        assert expert_agreement(net, np.zeros((4, 17)), y) == pytest.approx(0.5)
+        assert expert_agreement(forward(net, np.zeros((4, 17)))[0], y) == pytest.approx(0.5)
 
 
 class TestImitationDataset:

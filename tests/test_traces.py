@@ -1,10 +1,14 @@
 """Trace ingestion, synthesis, splitting, and subset selection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abrlab import traces
 from abrlab.traces import (
     MIN_SYNTH_THROUGHPUT_BPS,
     SynthConfig,
@@ -186,6 +190,68 @@ class TestIngestAgainstReference:
         else:
             tr = ingest_trace(p)
             assert tr.times_s.tolist() == expected[0] and tr.throughput_bps.tolist() == expected[1]
+
+
+# Fields that float() and the bulk parse may read differently or refuse:
+# underscores, non-ASCII digits, spelled-out specials, overflow, hex, quotes,
+# comments, other separators, empty fields.
+_ODD_FIELDS = ["1_0", "\uff11\uff12", "Infinity", "-inf", "nan", "1e500", "1e-400", "0x10", '"1"', "1;2",
+               "2 # c", "#", "", "+3", ".5", "5.", "time_s", "\ufeff1"]
+
+
+def _one_in(n, rare, common):
+    return st.integers(1, n).flatmap(lambda k: rare if k == 1 else common)
+
+
+_NUMBER = st.one_of(st.floats(min_value=-1.0, max_value=1e9).map(repr), st.integers(0, 10**7).map(str))
+_FIELD = _one_in(6, st.sampled_from(_ODD_FIELDS), _NUMBER)
+_PADDED = st.tuples(st.sampled_from(["", "", " ", "\t", "\xa0", "\x0b", "\x0c"]), _FIELD,
+                    st.sampled_from(["", "", " ", "\t", "\x0c"])).map("".join)
+_ROW = st.lists(_PADDED, min_size=2, max_size=2).map(",".join)
+_LINE = _one_in(4, st.one_of(st.lists(_PADDED, min_size=1, max_size=3).map(",".join),
+                             st.sampled_from(["", " ", "\t", "\x0c", ",", "1,2,"])), _ROW)
+_FILE = st.tuples(st.sampled_from(["", "\ufeff"]), st.sampled_from([[], ["time_s,throughput_bps"], ["t,v"]]),
+                  st.lists(_LINE, max_size=8), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+
+
+def _columns_or_error(read, lines):
+    try:
+        t, v = read("f.csv", lines)
+    except TraceParseError as exc:
+        return str(exc)
+    return np.asarray(t, dtype=np.float64).tobytes(), np.asarray(v, dtype=np.float64).tobytes()
+
+
+class TestBulkParseAgainstLineLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_FILE)
+    def test_same_arrays_or_same_error(self, tmp_path_factory, drawn):
+        bom, header, rows, newline, final = drawn
+        path = tmp_path_factory.getbasetemp() / "bulk-parse.csv"
+        path.write_bytes((bom + newline.join(header + rows) + (newline if final else "")).encode("utf-8"))
+        lines = path.read_text(encoding="utf-8-sig").split("\n")  # as ingest_trace reads it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _columns_or_error(traces._parse_columns, lines) == \
+                _columns_or_error(traces._parse_lines, lines)
+
+    def test_a_written_trace_never_reaches_the_line_loop(self, tmp_path, monkeypatch):
+        tr = synthesize_trace(SynthConfig(duration_s=60, seed=5), "bulk")
+        write_trace(tr, tmp_path)
+
+        def refuse(name, lines):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(traces, "_parse_lines", refuse)
+        assert np.array_equal(ingest_trace(tmp_path / "bulk.csv").throughput_bps, tr.throughput_bps)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "time_s,throughput_bps\n", "time_s,throughput_bps\n\n"])
+    def test_a_file_without_rows_warns_nothing(self, tmp_path, text):
+        p = _write(tmp_path, "none.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TraceValidationError, match="empty"):
+                ingest_trace(p)
 
 
 class TestTraceValidation:
