@@ -34,15 +34,12 @@ class AuditConfig:
 
 
 class AuditDecision(NamedTuple):
-    """One audited request, an immutable record like `sim.ChunkOutcome`."""
+    """One audited request: what `SessionEnv.step` copies into the chunk's `sim.ChunkOutcome`."""
 
-    raw_rung: int
     safe_rung: int
     intervened: bool
     fallback: bool
     predicted_capacity_bps: float = float("nan")
-    effective_capacity_bps: float = float("nan")
-    feasible_rungs: np.ndarray = _EMPTY
 
 
 def feasible_set(state: PlayerState, sizes_bytes: np.ndarray, predicted_bps: float,
@@ -94,17 +91,12 @@ def make_auditor(predictor, cfg: AuditConfig = AuditConfig()):
 
     def auditor(state: PlayerState, history_bps: np.ndarray, raw_rung: int):
         if state.buffer_s - cfg.guard_s <= 0.0:
-            safe, intervened = audit_action(raw_rung, _EMPTY)
-            return AuditDecision(raw_rung, safe, intervened, fallback=True)
+            return AuditDecision(*audit_action(raw_rung, _EMPTY), fallback=True)
         if history_bps.size == 0:
             return None
         predicted = float(predictor.predict(history_bps))
         feasible = feasible_set(state, state.next_chunk_sizes, predicted, cfg)
-        safe, intervened = audit_action(raw_rung, feasible)
-        # Positionally, in field order (cheaper than by keyword): fallback, predicted and
-        # effective capacity, feasible rungs.
-        return AuditDecision(raw_rung, safe, intervened, feasible.size == 0, predicted,
-                             cfg.capacity_margin * predicted, feasible)
+        return AuditDecision(*audit_action(raw_rung, feasible), feasible.size == 0, predicted)
 
     return auditor
 
@@ -133,8 +125,6 @@ def make_oracle_auditor(trace: ThroughputTrace, cfg: AuditConfig = AuditConfig(c
                              if not (math.isnan(c) or decision_violation(size, c, state.buffer_s, cfg.guard_s))],
                             dtype=int)
         safe, intervened = audit_action(raw_rung, feasible)
-        return AuditDecision(raw_rung, safe, intervened, fallback=feasible.size == 0,
-                             predicted_capacity_bps=realized[safe], effective_capacity_bps=realized[safe],
-                             feasible_rungs=feasible)
+        return AuditDecision(safe, intervened, feasible.size == 0, realized[safe])
 
     return auditor

@@ -49,8 +49,8 @@ class TraceSection:
     split_test: float = 0.15
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError(f"traces.count must be at least 1, got {self.count}")
+        if self.count < 3:  # the fewest ids split_traces accepts
+            raise ValueError(f"traces.count must be at least 3, got {self.count}")
         self.synth_config(seed=0)  # by the synthesizer's own rules
         split_traces(["a", "b", "c"], self.split_fractions, 0)  # by the split's own rule
 

@@ -237,7 +237,7 @@ def sampled_steps(net: PolicyNet, traces: Sequence[ThroughputTrace], spec: Video
         for i, (env, state, action) in enumerate(zip(envs, states, actions)):
             next_state, outcome, done = env.step(action)
             steps.append(SampledStep(env.trace, state, x[i], probs[i], float(values[i]), action,
-                                     next_state, outcome, env.finish() if done else None))
+                                     next_state, outcome, env.log if done else None))
             if done:
                 envs[i] = None
         yield steps

@@ -200,7 +200,6 @@ class ChunkOutcome(NamedTuple):
     buffer_before_s: float
     buffer_after_s: float
     predicted_capacity_bps: float = float("nan")
-    effective_capacity_bps: float = float("nan")
 
 
 @dataclass
@@ -241,7 +240,7 @@ def session_summary(log: SessionLog) -> dict:
 # once per round with every live session's state instead of once per state.
 PolicyFn = Callable[[PlayerState], int]
 # An auditor maps (state, measured past trace samples, requested rung) to a
-# decision whose safe_rung, intervened, fallback and two capacity fields
+# decision whose safe_rung, intervened, fallback and predicted_capacity_bps
 # `SessionEnv.step` reads, or to None for "not audited".
 AuditorFn = Callable[[PlayerState, np.ndarray, int], object]
 
@@ -250,9 +249,10 @@ class SessionEnv:
     """Step-level session driver; run_session and the trainers share it.
 
     `state` is the PlayerState last returned, the session's only record of
-    where it stands. Each state owns a read-only history, and its chunk
-    sizes are a read-only view of `spec.sizes`, so a state handed out never
-    changes, and a policy that writes into its input fails loudly.
+    where it stands; `log` is its only record of what it played, appended to
+    by `step`. Each state owns a read-only history, and its chunk sizes are
+    a read-only view of `spec.sizes`, so a state handed out never changes,
+    and a policy that writes into its input fails loudly.
     """
 
     def __init__(self, trace: ThroughputTrace, spec: VideoSpec, w: QoEWeights, history_len: int = 8):
@@ -267,8 +267,7 @@ class SessionEnv:
     def reset(self) -> PlayerState:
         spec, history = self.spec, np.zeros(self.history_len)
         history.setflags(write=False)
-        self.outcomes: list[ChunkOutcome] = []
-        self.truncated = False
+        self.log = SessionLog(self.trace.trace_id, [])
         self.state = PlayerState(
             chunk_index=0, buffer_s=float(spec.initial_buffer_s), prev_rung=int(spec.initial_prev_rung),
             throughput_history=history, remaining_chunks=spec.num_chunks,
@@ -284,7 +283,7 @@ class SessionEnv:
 
     @property
     def done(self) -> bool:
-        return self.truncated or len(self.outcomes) == self.spec.num_chunks
+        return self.log.truncated or len(self.log.outcomes) == self.spec.num_chunks
 
     def step(self, rung: int, decision: object | None = None):
         """Download one chunk: the requested `rung`, or the auditor's
@@ -303,7 +302,7 @@ class SessionEnv:
         try:
             d, c = download_chunk(self.trace, s.wall_time_s, size)
         except TraceExhaustedError:
-            self.truncated = True
+            self.log.truncated = True
             return None, None, True
         rebuf = rebuffer_time(d, s.buffer_s)
         q = chunk_qoe(s.ladder_kbps[rung], s.ladder_kbps[s.prev_rung], rebuf, self.w)
@@ -315,8 +314,8 @@ class SessionEnv:
         else:
             outcome = ChunkOutcome(s.chunk_index, rung, raw, bool(decision.intervened), bool(decision.fallback),
                                    size, d, rebuf, c, q, s.buffer_s, buf_after,
-                                   float(decision.predicted_capacity_bps), float(decision.effective_capacity_bps))
-        self.outcomes.append(outcome)
+                                   float(decision.predicted_capacity_bps))
+        self.log.outcomes.append(outcome)
         t = s.chunk_index + 1
         if t == spec.num_chunks:
             return None, outcome, True
@@ -327,9 +326,6 @@ class SessionEnv:
         self.state = PlayerState(t, buf_after, rung, history, s.remaining_chunks - 1, spec.sizes[t],
                                  s.ladder_kbps, s.chunk_duration_s, s.buffer_max_s, s.wall_time_s + d)
         return self.state, outcome, False
-
-    def finish(self) -> SessionLog:
-        return SessionLog(self.trace.trace_id, list(self.outcomes), self.truncated)
 
 
 def run_sessions(traces: Sequence[ThroughputTrace], spec: VideoSpec, w: QoEWeights, policy: PolicyFn,
@@ -353,7 +349,7 @@ def run_sessions(traces: Sequence[ThroughputTrace], spec: VideoSpec, w: QoEWeigh
             if not env.step(raw, auditors[i](env.state, env.measured_history_bps(), raw) if auditors else None)[2]:
                 still.append(i)
         live = still
-    return [env.finish() for env in envs]
+    return [env.log for env in envs]
 
 
 def run_session(trace: ThroughputTrace, spec: VideoSpec, w: QoEWeights, policy: PolicyFn,

@@ -201,17 +201,24 @@ class SynthConfig:
     def __post_init__(self):
         if int(round(self.duration_s)) < 1:
             raise TraceValidationError("duration_s must be at least 1 second")
-        if not self.regime_dwell_s > 0:
-            raise TraceValidationError("regime_dwell_s must be positive")
+        if not math.isfinite(self.regime_mean_log_mbps):
+            raise TraceValidationError(f"regime_mean_log_mbps must be finite, got {self.regime_mean_log_mbps}")
+        if not 0.0 < self.regime_dwell_s < math.inf:
+            raise TraceValidationError(f"regime_dwell_s must be finite and positive, got {self.regime_dwell_s}")
+        for name in ("regime_sigma_log", "handover_dip_duration_s", "ar1_sigma_mbps"):
+            if not 0.0 <= (value := getattr(self, name)) < math.inf:
+                raise TraceValidationError(f"{name} must be finite and non-negative, got {value}")
         if not (0.0 < self.handover_dip_fraction <= 1.0):
             raise TraceValidationError("handover_dip_fraction must lie in (0, 1]")
+        if not -1.0 < self.ar1_rho < 1.0:
+            raise TraceValidationError(f"ar1_rho must lie in (-1, 1), got {self.ar1_rho}")
 
 
 def synthesize_trace(cfg: SynthConfig, trace_id: str | None = None) -> ThroughputTrace:
     """Generate one synthetic trace, bit-deterministic per cfg.seed.
 
     A handover event is recorded at the start of every regime (t = 0, dwell,
-    2*dwell, ... < duration) and throughput is multiplied by
+    2*dwell, ... up to the last sample time) and throughput is multiplied by
     `handover_dip_fraction` for `handover_dip_duration_s` after each event.
     Samples are clamped to at least 0.1 Mbit/s.
     """
@@ -226,7 +233,7 @@ def synthesize_trace(cfg: SynthConfig, trace_id: str | None = None) -> Throughpu
     base = means_mbps[regime_of]
 
     handovers = np.arange(n_regimes, dtype=np.float64) * cfg.regime_dwell_s
-    handovers = handovers[handovers < n]
+    handovers = handovers[handovers <= t[-1]]
     # The latest handover at or before a second ends the latest dip, so it
     # alone decides whether that second is dipped (handovers[0] is 0).
     latest = handovers[np.searchsorted(handovers, t, side="right") - 1]

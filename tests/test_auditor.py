@@ -214,17 +214,9 @@ class TestMakeAuditor:
     def test_projection_with_recorded_capacities(self):
         aud = make_auditor(_ConstPredictor(30e6), AuditConfig(guard_s=2.0, capacity_margin=1.0))
         d = aud(_state(buffer_s=10.0), np.full(20, 25e6), 5)
-        assert d.raw_rung == 5
         assert d.safe_rung == 4
         assert d.intervened and not d.fallback
         assert d.predicted_capacity_bps == 30e6
-        assert d.effective_capacity_bps == 30e6
-        assert d.feasible_rungs.tolist() == [0, 1, 2, 3, 4]
-
-    def test_margin_recorded_in_effective_capacity(self):
-        aud = make_auditor(_ConstPredictor(40e6), AuditConfig(capacity_margin=0.9))
-        d = aud(_state(buffer_s=10.0), np.full(5, 1e6), 0)
-        assert d.effective_capacity_bps == pytest.approx(36e6)
 
     def test_predictor_sees_the_whole_history(self):
         pred = _ConstPredictor(30e6)
@@ -248,10 +240,8 @@ class TestOracleAuditor:
         tr = ThroughputTrace("flat", np.arange(600.0), np.full(600, 30e6))
         aud = make_oracle_auditor(tr, AuditConfig(guard_s=2.0, capacity_margin=1.0))
         d = aud(_state(buffer_s=10.0), np.zeros(0), 5)
-        assert d.feasible_rungs.tolist() == [0, 1, 2, 3, 4]  # 8 s fits the 8 s budget
-        assert d.safe_rung == 4
+        assert (d.safe_rung, d.fallback) == (4, False)  # rung 4's 8 s fits the 8 s budget
         assert d.predicted_capacity_bps == pytest.approx(30e6)
-        assert d.effective_capacity_bps == pytest.approx(30e6)
 
     def test_empty_budget_falls_back(self):
         tr = ThroughputTrace("flat", np.arange(600.0), np.full(600, 30e6))
@@ -271,8 +261,7 @@ class TestOracleAuditor:
         assert planned < executed and decision_violation(size, realized, planned)
         aud = make_oracle_auditor(tr, AuditConfig(capacity_margin=1.0))
         d = aud(_state(buffer_s=planned, wall=1.1), np.zeros(0), 5)
-        assert d.feasible_rungs.tolist() == [0]
-        assert d.safe_rung == 0
+        assert (d.safe_rung, d.fallback) == (0, False)
 
     def test_download_past_the_trace_end_is_infeasible(self):
         # 1.5 s of a 10 s, 30 Mbit/s trace are left: 5.6 MB, rungs 0 and 1.
@@ -280,12 +269,11 @@ class TestOracleAuditor:
         tr = ThroughputTrace("short", np.arange(10.0), np.full(10, 30e6))
         aud = make_oracle_auditor(tr, AuditConfig(capacity_margin=1.0))
         d = aud(_state(buffer_s=30.0, wall=8.5), np.zeros(0), 5)
-        assert d.feasible_rungs.tolist() == [0, 1]
         assert (d.safe_rung, d.fallback) == (1, False)
         assert d.predicted_capacity_bps == pytest.approx(30e6)
         # 0.1 s left: not even the lowest rung arrives, so nothing is admitted
         d = aud(_state(buffer_s=30.0, wall=9.9), np.zeros(0), 5)
-        assert (d.feasible_rungs.size, d.safe_rung, d.fallback) == (0, 0, True)
+        assert (d.safe_rung, d.fallback) == (0, True)
         assert math.isnan(d.predicted_capacity_bps)
 
     def test_admitted_decisions_never_violate(self):
@@ -303,7 +291,6 @@ class TestOracleAuditor:
 
 class TestAuditDecisionDefaults:
     def test_capacity_fields_default_to_nan(self):
-        d = AuditDecision(raw_rung=3, safe_rung=0, intervened=True, fallback=True)
+        d = AuditDecision(safe_rung=0, intervened=True, fallback=True)
+        assert d._fields == ("safe_rung", "intervened", "fallback", "predicted_capacity_bps")
         assert math.isnan(d.predicted_capacity_bps)
-        assert math.isnan(d.effective_capacity_bps)
-        assert d.feasible_rungs.size == 0

@@ -375,6 +375,14 @@ class TestDeterminism:
         assert main(["gen-traces", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
         assert _tree_digest(tmp_path / "run" / "traces") == GEN_TRACES_SEED7_SHA256
 
+    def test_gen_traces_with_a_dwell_past_the_last_sample(self, tmp_path):
+        # The second regime would start at 9.5 s, after the last sample (9 s): no handover there.
+        cfg = _write_cfg(tmp_path / "exp.yaml", traces={"count": 4, "duration_s": 10, "regime_dwell_s": 9.5})
+        assert main(["gen-traces", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        sidecars = sorted((tmp_path / "run" / "traces").glob("*.handovers"))
+        assert len(sidecars) == 4
+        assert all(path.read_text().split() == ["0.0"] for path in sidecars)
+
     def test_seed_override_changes_traces_and_split(self, tmp_path):
         cfg = _write_cfg(tmp_path / "exp.yaml", traces={"count": 4, "duration_s": 120})
         run_a, run_b = tmp_path / "a", tmp_path / "b"
@@ -423,6 +431,11 @@ class TestErrorPaths:
         ("traces", {"duration_s": 0}), ("traces", {"regime_dwell_s": 0.0}),
         ("traces", {"regime_dwell_s": float("nan")}), ("traces", {"handover_dip_fraction": 0.0}),
         ("traces", {"handover_dip_fraction": 1.5}),
+        # trace settings that load but break gen-traces, do nothing, or blow the capacities up
+        ("traces", {"count": 2}), ("traces", {"regime_dwell_s": float("inf")}),
+        ("traces", {"handover_dip_duration_s": -4.0}), ("traces", {"handover_dip_duration_s": float("nan")}),
+        ("traces", {"regime_mean_log_mbps": float("nan")}), ("traces", {"regime_sigma_log": -1.0}),
+        ("traces", {"ar1_sigma_mbps": -4.0}), ("traces", {"ar1_rho": 5.0}), ("traces", {"ar1_rho": -1.0}),
     ], ids=["cvar.window", "cvar.alpha", "ppo.epochs", "bc.dagger_iterations",
             "ppo.max_grad_norm-negative", "ppo.max_grad_norm-zero", "ppo.reward_clip-zero",
             "ppo.reward_clip-negative", "ppo.gamma-above-1", "ppo.gamma-negative", "ppo.gae_lambda-above-1",
@@ -437,7 +450,10 @@ class TestErrorPaths:
             "eval.handover_top_fraction-nan", "eval.margin_grid-zero", "eval.margin_grid-nan",
             "eval.tail_fraction-zero", "traces.duration_s-zero", "traces.regime_dwell_s-zero",
             "traces.regime_dwell_s-nan", "traces.handover_dip_fraction-zero",
-            "traces.handover_dip_fraction-above-1"])
+            "traces.handover_dip_fraction-above-1", "traces.count-2", "traces.regime_dwell_s-inf",
+            "traces.handover_dip_duration_s-negative", "traces.handover_dip_duration_s-nan",
+            "traces.regime_mean_log_mbps-nan", "traces.regime_sigma_log-negative",
+            "traces.ar1_sigma_mbps-negative", "traces.ar1_rho-above-1", "traces.ar1_rho-minus-1"])
     def test_bad_training_config_stops_the_first_stage(self, tmp_path, capsys, section, values):
         sections = {"traces": {"count": 4, "duration_s": 120}}
         sections[section] = {**sections.get(section, {}), **values}

@@ -442,7 +442,7 @@ def _reference_collect(net, traces, spec, w, ppo, fc, rng, history_len, streams)
             next_state, outcome, done = env.step(a)
             rows[e].append((x[e], a, float(np.log(max(probs[e][a], PROB_FLOOR))),
                             0.0 if outcome is None else outcome.qoe, float(values[e]), done,
-                            env.finish() if done else None))
+                            env.log if done else None))
             streams[e] = None if done else (env, next_state)
     steps = [row for stream in rows for row in stream]
     bootstraps = np.zeros(ppo.n_envs)
@@ -483,7 +483,7 @@ def _env_major_reference_collect(net, traces, spec, w, ppo, fc, rng, history_len
             rewards.append(0.0 if outcome is None else outcome.qoe)
             dones.append(done)
             if done:
-                episodes.append(_episode(len(actions) - 1, env.finish()))
+                episodes.append(_episode(len(actions) - 1, env.log))
                 streams[e] = None
             else:
                 streams[e] = (env, next_state)

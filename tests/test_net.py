@@ -80,8 +80,8 @@ class TestFeaturize:
         state = env.reset()
         for _ in range(3):
             state, _, _ = env.step(0)
-        newest = [o.effective_throughput_bps for o in env.outcomes[-2:]]
-        assert env.outcomes[0].effective_throughput_bps not in newest
+        newest = [o.effective_throughput_bps for o in env.log.outcomes[-2:]]
+        assert env.log.outcomes[0].effective_throughput_bps not in newest
         [x] = featurize([state], spec, FeatureConfig(throughput_scale_bps=1.0))
         assert x.shape == (feature_dim(2, 6),)
         assert np.array_equal(x[2:4], newest)

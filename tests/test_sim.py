@@ -342,7 +342,7 @@ def _replay_one(trace, spec, w, policy, auditor=None):
         raw = int(policy(state))
         decision = auditor(state, env.measured_history_bps(), raw) if auditor is not None else None
         state, _, _ = env.step(raw, decision)
-    return env.finish()
+    return env.log
 
 
 def _random_greedy_policy(spec, seed=4):
@@ -441,8 +441,8 @@ class TestOutOfLadderRequests:
     def test_an_executed_rung_off_the_ladder_fails(self):
         env = SessionEnv(_const_trace(50e6), _spec(), QoEWeights())
         with pytest.raises(ValueError, match="auditor chose rung 6 outside the ladder"):
-            env.step(2, AuditDecision(raw_rung=2, safe_rung=6, intervened=True, fallback=False))
-        assert env.outcomes == []
+            env.step(2, AuditDecision(safe_rung=6, intervened=True, fallback=False))
+        assert env.log.outcomes == []
 
 
 class TestSessionEnv:
@@ -456,6 +456,15 @@ class TestSessionEnv:
         assert s.remaining_chunks == 48
         assert s.next_chunk_sizes[0] == 1.5e6
         assert s.wall_time_s == 0.0
+
+    def test_log_is_the_session_record(self):
+        env = SessionEnv(_const_trace(50e6), _spec(num_chunks=2), QoEWeights())
+        log = env.log
+        _, first, _ = env.step(0)
+        _, second, done = env.step(1)
+        assert done and log.outcomes == [first, second] and not log.truncated
+        env.reset()  # a new session gets a new record; the finished one is kept as it was
+        assert env.log is not log and env.log.outcomes == [] and len(log.outcomes) == 2
 
     def test_measured_history_grows_with_wall_clock(self):
         env = SessionEnv(_const_trace(8e6), _spec(), QoEWeights())
@@ -520,7 +529,7 @@ class TestRecords:
         trace, spec = _const_trace(50e6), _spec(num_chunks=4)
         env = SessionEnv(trace, spec, QoEWeights())
         first = env.reset()
-        decision = AuditDecision(3, 1, True, False, 40e6, 36e6, np.arange(2))
+        decision = AuditDecision(1, True, False, 40e6)
         state, outcome, _ = env.step(3, decision)
         return trace, spec, first, state, outcome, decision
 
@@ -528,7 +537,7 @@ class TestRecords:
         _, _, _, state, outcome, decision = records
         assert outcome.audited and outcome.rung == 1
         for record, name in ((state, "buffer_s"), (state, "throughput_history"), (outcome, "rung"),
-                             (outcome, "qoe"), (decision, "safe_rung"), (decision, "feasible_rungs")):
+                             (outcome, "qoe"), (decision, "safe_rung"), (decision, "predicted_capacity_bps")):
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
             with pytest.raises(AttributeError):

@@ -345,6 +345,12 @@ class TestSynthesis:
         assert tr.handover_times_s.size == 20
         assert np.array_equal(tr.handover_times_s, 15.0 * np.arange(20))
 
+    @pytest.mark.parametrize("dwell", [9.5, 3.3])
+    def test_no_handover_after_the_last_sample(self, dwell):
+        tr = synthesize_trace(SynthConfig(duration_s=10, regime_dwell_s=dwell, seed=1))
+        assert tr.handover_times_s.max() <= tr.times_s[-1]
+        assert np.array_equal(tr.handover_times_s, dwell * np.arange(int(9 // dwell) + 1))
+
     def test_no_noise_no_dip_gives_piecewise_constant_regimes(self):
         cfg = SynthConfig(
             duration_s=90,
